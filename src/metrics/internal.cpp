@@ -6,6 +6,9 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/thread_pool.h"
+#include "core/simd.h"
+
 namespace mcdc::metrics {
 
 namespace {
@@ -19,46 +22,34 @@ int label_count(const std::vector<int>& labels) {
   return k;
 }
 
+// Mode of every (cluster, feature), looked up once: modes[l * d + r].
+std::vector<data::Value> mode_table(const PartitionProfile& profile,
+                                    std::size_t d) {
+  std::vector<data::Value> modes(
+      static_cast<std::size_t>(profile.num_clusters()) * d);
+  for (int l = 0; l < profile.num_clusters(); ++l) {
+    for (std::size_t r = 0; r < d; ++r) {
+      modes[static_cast<std::size_t>(l) * d + r] = profile.mode(l, r);
+    }
+  }
+  return modes;
+}
+
 // Normalised Hamming distance between the modes of clusters l and t;
 // features where either cluster has no observed value are skipped.
-double mode_distance(const PartitionProfile& profile, std::size_t d, int l,
-                     int t) {
+double mode_distance(const std::vector<data::Value>& modes, std::size_t d,
+                     int l, int t) {
+  const data::Value* ml = modes.data() + static_cast<std::size_t>(l) * d;
+  const data::Value* mt = modes.data() + static_cast<std::size_t>(t) * d;
   int mismatches = 0;
   int compared = 0;
   for (std::size_t r = 0; r < d; ++r) {
-    const data::Value a = profile.mode(l, r);
-    const data::Value b = profile.mode(t, r);
-    if (a == data::kMissing || b == data::kMissing) continue;
+    if (ml[r] == data::kMissing || mt[r] == data::kMissing) continue;
     ++compared;
-    if (a != b) ++mismatches;
+    if (ml[r] != mt[r]) ++mismatches;
   }
   if (compared == 0) return 0.0;
   return static_cast<double>(mismatches) / static_cast<double>(compared);
-}
-
-// Mean member-to-own-mode Hamming distance of cluster l ("scatter").
-double mode_scatter(const data::DatasetView& ds, const std::vector<int>& labels,
-                    const PartitionProfile& profile, int l) {
-  const std::size_t d = ds.num_features();
-  double sum = 0.0;
-  std::size_t members = 0;
-  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
-    if (labels[i] != l) continue;
-    ++members;
-    int mismatches = 0;
-    int compared = 0;
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      const data::Value m = profile.mode(l, r);
-      if (v == data::kMissing || m == data::kMissing) continue;
-      ++compared;
-      if (v != m) ++mismatches;
-    }
-    if (compared > 0) {
-      sum += static_cast<double>(mismatches) / static_cast<double>(compared);
-    }
-  }
-  return members == 0 ? 0.0 : sum / static_cast<double>(members);
 }
 
 }  // namespace
@@ -134,9 +125,16 @@ double PartitionProfile::mean_distance(const data::DatasetView& ds, std::size_t 
   return sum / static_cast<double>(compared);
 }
 
-double compactness(const data::DatasetView& ds, const std::vector<int>& labels) {
+namespace {
+
+// The index bodies below read one shared PartitionProfile (and mode table),
+// so internal_scores builds them once; each public entry point builds its
+// own.
+
+double compactness_of(const data::DatasetView& ds,
+                      const std::vector<int>& labels,
+                      const PartitionProfile& profile) {
   if (ds.num_objects() == 0) return 0.0;
-  const PartitionProfile profile(ds, labels);
   double sum = 0.0;
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
     // Similarity = 1 - mean mismatch, including the object itself in its
@@ -146,50 +144,110 @@ double compactness(const data::DatasetView& ds, const std::vector<int>& labels) 
   return sum / static_cast<double>(ds.num_objects());
 }
 
-double mode_separation(const data::DatasetView& ds,
-                       const std::vector<int>& labels) {
-  const PartitionProfile profile(ds, labels);
+double separation_of(const PartitionProfile& profile,
+                     const std::vector<data::Value>& modes, std::size_t d) {
   const int k = profile.num_clusters();
   if (k < 2) return 0.0;
   double sum = 0.0;
   int pairs = 0;
   for (int l = 0; l < k; ++l) {
     for (int t = l + 1; t < k; ++t) {
-      sum += mode_distance(profile, ds.num_features(), l, t);
+      sum += mode_distance(modes, d, l, t);
       ++pairs;
     }
   }
   return sum / static_cast<double>(pairs);
 }
 
-double categorical_silhouette(const data::DatasetView& ds,
-                              const std::vector<int>& labels) {
-  if (ds.num_objects() == 0) return 0.0;
-  const PartitionProfile profile(ds, labels);
+// b(i) = min over l != own of mean_distance(i, l), with the per-term
+// divisions hoisted into a per-partition mismatch bank (see internal.h for
+// the layout and the bit-identity argument).
+double silhouette_of(const data::DatasetView& ds,
+                     const std::vector<int>& labels,
+                     const PartitionProfile& profile) {
+  const std::size_t n = ds.num_objects();
   const int k = profile.num_clusters();
   if (k < 2) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
-    const int own = labels[i];
-    if (profile.cluster_size(own) <= 1) continue;  // contributes 0
-    const double a = profile.mean_distance(ds, i, own, true);
-    double b = std::numeric_limits<double>::infinity();
-    for (int l = 0; l < k; ++l) {
-      if (l == own || profile.cluster_size(l) == 0) continue;
-      b = std::min(b, profile.mean_distance(ds, i, l, false));
-    }
-    if (!std::isfinite(b)) continue;
-    const double denom = std::max(a, b);
-    if (denom > 0.0) sum += (b - a) / denom;
+  const auto ku = static_cast<std::size_t>(k);
+  const std::size_t d = ds.num_features();
+
+  std::vector<int> nonempty;
+  for (int l = 0; l < k; ++l) {
+    if (profile.cluster_size(l) > 0) nonempty.push_back(l);
   }
-  return sum / static_cast<double>(ds.num_objects());
+  if (nonempty.size() < 2) return 0.0;  // no row has a b(i)
+
+  // term[cell(r, v) + l] = 1 - count / non_null, the exact term
+  // mean_distance adds for feature r, or 0.0 where it skips (non_null 0).
+  // unobserved[r] lists the non-empty clusters that skip feature r.
+  std::vector<double> term(profile.bank_size(), 0.0);
+  std::vector<std::vector<int>> unobserved(d);
+  for (std::size_t r = 0; r < d; ++r) {
+    for (const int l : nonempty) {
+      const int denom = profile.non_null(l, r);
+      if (denom <= 0) {
+        unobserved[r].push_back(l);
+        continue;
+      }
+      for (data::Value v = 0; v < ds.cardinality(r); ++v) {
+        term[profile.cell(r, v) + static_cast<std::size_t>(l)] =
+            1.0 - static_cast<double>(profile.count(l, r, v)) /
+                      static_cast<double>(denom);
+      }
+    }
+  }
+
+  // Rows fan out over the pool and write only their own slots; rows that
+  // contribute nothing keep +0.0, which leaves the ascending-i sum below
+  // bit-unchanged.
+  std::vector<double> contribution(n, 0.0);
+  const core::simd::Kernels& kernels = core::simd::kernels();
+  parallel_chunks(n, 64, [&](std::size_t lo, std::size_t hi) {
+    std::vector<data::Value> row(d);
+    std::vector<std::size_t> cells(d);
+    std::vector<double> dist(ku);
+    std::vector<int> compared(ku);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const int own = labels[i];
+      if (profile.cluster_size(own) <= 1) continue;  // contributes 0
+      ds.gather_row(i, row.data());
+      int present = 0;
+      for (std::size_t r = 0; r < d; ++r) {
+        cells[r] = core::simd::kNoCell;
+        if (row[r] == data::kMissing) continue;
+        ++present;
+        cells[r] = profile.cell(r, row[r]);
+      }
+      // Denominator 1.0 leaves every sum exactly as accumulated.
+      kernels.score_row_f64(dist.data(), term.data(), cells.data(), d, 1.0,
+                            ku);
+      std::fill(compared.begin(), compared.end(), present);
+      for (std::size_t r = 0; r < d; ++r) {
+        if (cells[r] == core::simd::kNoCell) continue;
+        for (const int l : unobserved[r]) {
+          --compared[static_cast<std::size_t>(l)];
+        }
+      }
+      double b = std::numeric_limits<double>::infinity();
+      for (const int l : nonempty) {
+        if (l == own) continue;
+        const auto lu = static_cast<std::size_t>(l);
+        const int c = compared[lu];
+        b = std::min(b, c == 0 ? 0.0 : dist[lu] / static_cast<double>(c));
+      }
+      const double a = profile.mean_distance(ds, i, own, true);
+      const double denom = std::max(a, b);
+      if (denom > 0.0) contribution[i] = (b - a) / denom;
+    }
+  });
+  double sum = 0.0;
+  for (const double c : contribution) sum += c;
+  return sum / static_cast<double>(n);
 }
 
-double category_utility(const data::DatasetView& ds,
-                        const std::vector<int>& labels) {
+double category_utility_of(const data::DatasetView& ds,
+                           const PartitionProfile& profile) {
   const std::size_t n = ds.num_objects();
-  if (n == 0) return 0.0;
-  const PartitionProfile profile(ds, labels);
   const int k = profile.num_clusters();
   if (k == 0) return 0.0;
   const auto global = ds.value_counts();
@@ -226,21 +284,43 @@ double category_utility(const data::DatasetView& ds,
   return cu / static_cast<double>(k);
 }
 
-double davies_bouldin_modes(const data::DatasetView& ds,
-                            const std::vector<int>& labels) {
-  const PartitionProfile profile(ds, labels);
+double davies_bouldin_of(const data::DatasetView& ds,
+                         const std::vector<int>& labels,
+                         const PartitionProfile& profile,
+                         const std::vector<data::Value>& modes) {
   const int k = profile.num_clusters();
   if (k < 2) return 0.0;
-  std::vector<double> scatter(static_cast<std::size_t>(k));
+  const std::size_t d = ds.num_features();
+  // Every cluster's scatter (mean member-to-own-mode Hamming distance) in
+  // one pass over the rows; each cluster's sum still runs in ascending i.
+  std::vector<double> scatter(static_cast<std::size_t>(k), 0.0);
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    const auto l = static_cast<std::size_t>(labels[i]);
+    const data::Value* mode = modes.data() + l * d;
+    int mismatches = 0;
+    int compared = 0;
+    for (std::size_t r = 0; r < d; ++r) {
+      const data::Value v = ds.at(i, r);
+      if (v == data::kMissing || mode[r] == data::kMissing) continue;
+      ++compared;
+      if (v != mode[r]) ++mismatches;
+    }
+    if (compared > 0) {
+      scatter[l] +=
+          static_cast<double>(mismatches) / static_cast<double>(compared);
+    }
+  }
   for (int l = 0; l < k; ++l) {
-    scatter[static_cast<std::size_t>(l)] = mode_scatter(ds, labels, profile, l);
+    const std::size_t members = profile.cluster_size(l);
+    double& s = scatter[static_cast<std::size_t>(l)];
+    s = members == 0 ? 0.0 : s / static_cast<double>(members);
   }
   double sum = 0.0;
   for (int l = 0; l < k; ++l) {
     double worst = 0.0;
     for (int t = 0; t < k; ++t) {
       if (t == l) continue;
-      const double dist = mode_distance(profile, ds.num_features(), l, t);
+      const double dist = mode_distance(modes, d, l, t);
       const double numer = scatter[static_cast<std::size_t>(l)] +
                            scatter[static_cast<std::size_t>(t)];
       const double ratio = dist > 0.0
@@ -255,14 +335,50 @@ double davies_bouldin_modes(const data::DatasetView& ds,
   return sum / static_cast<double>(k);
 }
 
+}  // namespace
+
+double compactness(const data::DatasetView& ds, const std::vector<int>& labels) {
+  if (ds.num_objects() == 0) return 0.0;
+  return compactness_of(ds, labels, PartitionProfile(ds, labels));
+}
+
+double mode_separation(const data::DatasetView& ds,
+                       const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  return separation_of(profile, mode_table(profile, ds.num_features()),
+                       ds.num_features());
+}
+
+double categorical_silhouette(const data::DatasetView& ds,
+                              const std::vector<int>& labels) {
+  if (ds.num_objects() == 0) return 0.0;
+  return silhouette_of(ds, labels, PartitionProfile(ds, labels));
+}
+
+double category_utility(const data::DatasetView& ds,
+                        const std::vector<int>& labels) {
+  if (ds.num_objects() == 0) return 0.0;
+  return category_utility_of(ds, PartitionProfile(ds, labels));
+}
+
+double davies_bouldin_modes(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  return davies_bouldin_of(ds, labels, profile,
+                           mode_table(profile, ds.num_features()));
+}
+
 InternalScores internal_scores(const data::DatasetView& ds,
                                const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  const std::size_t d = ds.num_features();
+  const std::vector<data::Value> modes = mode_table(profile, d);
   InternalScores out;
-  out.compactness = compactness(ds, labels);
-  out.separation = mode_separation(ds, labels);
-  out.silhouette = categorical_silhouette(ds, labels);
-  out.category_utility = category_utility(ds, labels);
-  out.davies_bouldin = davies_bouldin_modes(ds, labels);
+  out.compactness = compactness_of(ds, labels, profile);
+  out.separation = separation_of(profile, modes, d);
+  out.silhouette = silhouette_of(ds, labels, profile);
+  out.category_utility = category_utility_of(ds, profile);
+  out.davies_bouldin = davies_bouldin_of(ds, labels, profile, modes);
   return out;
 }
 

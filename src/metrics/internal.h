@@ -9,7 +9,7 @@
 //     (the quantity MGCPL's objective Eq. (3) maximises);
 //   - separation: mean Hamming distance between cluster modes;
 //   - categorical silhouette: Hamming silhouette computed against cluster
-//     value-histograms, O(n d k) instead of the naive O(n^2 d);
+//     value-histograms, O(n d k) additions instead of the naive O(n^2 d);
 //   - category utility: the COBWEB/CLASSIT partition score
 //     CU = (1/k) sum_l P(C_l) sum_{r,v} [P(v | C_l)^2 - P(v)^2];
 //   - a Davies-Bouldin analogue on mode distances (lower is better).
@@ -41,10 +41,16 @@ class PartitionProfile {
 
   // |{i in C_l : x_ir = v}|.
   int count(int l, std::size_t r, data::Value v) const {
-    return counts_[(offsets_[r] + static_cast<std::size_t>(v)) *
-                       static_cast<std::size_t>(k_) +
-                   static_cast<std::size_t>(l)];
+    return counts_[cell(r, v) + static_cast<std::size_t>(l)];
   }
+  // Bank index of cluster 0's slot for (feature r, value v); cluster l's
+  // slot follows at + l. Banks laid out like the counts (bank_size()
+  // entries) index through this too.
+  std::size_t cell(std::size_t r, data::Value v) const {
+    return (offsets_[r] + static_cast<std::size_t>(v)) *
+           static_cast<std::size_t>(k_);
+  }
+  std::size_t bank_size() const { return counts_.size(); }
   // |{i in C_l : x_ir != NULL}|.
   int non_null(int l, std::size_t r) const {
     return non_null_[r * static_cast<std::size_t>(k_) +
@@ -80,6 +86,24 @@ double mode_separation(const data::DatasetView& ds, const std::vector<int>& labe
 
 // Histogram-based categorical silhouette, averaged over objects. Range
 // [-1, 1]; objects in singleton clusters contribute 0 (sklearn convention).
+//
+// a(i) is the leave-one-out mean_distance to the object's own cluster.
+// b(i), the smallest mean_distance to any other non-empty cluster, needs
+// no per-term division: a mismatch bank built once per partition holds
+// term[cell(r, v) + l] = 1 - count / non_null, computed with the
+// same int-to-double division mean_distance performs (0.0 where non_null
+// is 0, which mean_distance skips). A row's k sums are then one
+// simd::score_row_f64 sweep over the bank cells of its present features,
+// r ascending into a +0.0 accumulator, with denominator 1.0 (exact). Bit
+// identity with the per-cluster mean_distance loop holds because every
+// term is bit-equal, the order of additions is the same, and adding +0.0
+// for a skipped term leaves a non-negative sum unchanged. Each sum is
+// then divided by its compared count: the present features less those
+// the cluster never observes (per-feature lists, empty on data without
+// missing cells). Rows fan out over parallel_chunks and write only their
+// own slots (+0.0 for objects that contribute nothing, which leaves the
+// total unchanged); the total runs in ascending object order. The result
+// is therefore bit-identical at every pool width and SIMD dispatch level.
 double categorical_silhouette(const data::DatasetView& ds,
                               const std::vector<int>& labels);
 
@@ -103,7 +127,9 @@ struct InternalScores {
   double davies_bouldin = 0.0;
 };
 
-// All internal indices in one pass-friendly call.
+// All internal indices in one call: the PartitionProfile and the cluster
+// modes are built once and shared by the five indices, with results bit-
+// identical to calling each index on its own.
 InternalScores internal_scores(const data::DatasetView& ds,
                                const std::vector<int>& labels);
 

@@ -9,6 +9,7 @@
 //     "mcdc" (CAME assignment sweeps + refinement),
 //   - Model::predict over a foreign dataset (dictionary re-coding path),
 //   - StreamingMgcpl::classify over a window,
+//   - core::estimate_k's staircase scoring (the row-parallel silhouette),
 //   - active-learning select_queries (margin sweeps),
 //   - serve::ModelServer batched predicts (BatchQueue -> predict_rows),
 //   - the full serve::OnlineUpdater loop (observe -> drift -> swap/refit)
@@ -26,6 +27,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
@@ -35,6 +37,7 @@
 #include "common/thread_pool.h"
 #include "core/simd.h"
 #include "core/active.h"
+#include "core/kestimate.h"
 #include "core/mgcpl.h"
 #include "core/streaming.h"
 #include "data/noise.h"
@@ -166,6 +169,36 @@ TEST(ThreadDeterminism, StreamingClassifyIsWidthInvariant) {
 #if defined(__linux__) && defined(__GLIBC__)
   EXPECT_EQ(fnv1a(kFnvSeed, labels), 0x3e88a1b7bdc27525ULL)
       << "single-thread classify labels drifted";
+#endif
+}
+
+// The staircase scoring behind Engine::fit's k = 0 path: the categorical
+// silhouette fans rows out over the pool, so every candidate's evidence
+// (k, silhouette and blended score as raw bits) and the recommended k must
+// reproduce at every width.
+TEST(ThreadDeterminism, KEstimateIsWidthInvariant) {
+  const data::Dataset ds = fit_dataset();
+  const core::MgcplResult mgcpl = core::Mgcpl().run(ds, 17);
+  const std::vector<int> evidence = sweep_widths("estimate_k", [&] {
+    const core::KEstimate estimate = core::estimate_k(ds, mgcpl);
+    std::vector<int> out = {estimate.recommended_k};
+    for (const core::KCandidate& candidate : estimate.candidates) {
+      out.push_back(candidate.k);
+      for (const double x : {candidate.silhouette, candidate.score}) {
+        std::uint64_t u = 0;
+        std::memcpy(&u, &x, sizeof u);
+        out.push_back(static_cast<int>(static_cast<std::uint32_t>(u)));
+        out.push_back(static_cast<int>(static_cast<std::uint32_t>(u >> 32)));
+      }
+    }
+    return out;
+  });
+  EXPECT_GT(evidence.size(), 1u);
+#if defined(__linux__) && defined(__GLIBC__)
+  // Pinned from the per-cluster mean_distance silhouette that the
+  // mismatch bank replaced: the rewrite moved no bit of the evidence.
+  EXPECT_EQ(fnv1a(kFnvSeed, evidence), 0x5c0c4d5181f78f69ULL)
+      << "single-thread k-estimation evidence drifted";
 #endif
 }
 

@@ -3,15 +3,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/simd.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
 
 namespace mcdc::metrics {
 namespace {
+
+// An 8-worker pool regardless of the machine, so the width sweeps below
+// really fan out. Runs before main(), hence before the first global_pool()
+// call in this binary; an explicit MCDC_THREADS in the environment wins.
+const bool kForcePoolWidth = [] {
+  ::setenv("MCDC_THREADS", "8", /*overwrite=*/0);
+  return true;
+}();
 
 // Two perfectly separated blocks: rows 0-2 all 'a', rows 3-5 all 'b'.
 data::Dataset two_blocks() {
@@ -189,6 +205,238 @@ TEST(InternalScores, BundleMatchesIndividuals) {
                    categorical_silhouette(ds, kBlockLabels));
   EXPECT_DOUBLE_EQ(bundle.category_utility,
                    category_utility(ds, kBlockLabels));
+}
+
+// --- Bitwise references ------------------------------------------------------
+//
+// The straightforward forms of the silhouette (b(i) as one mean_distance
+// per (row, cluster) pair, O(n k d) divisions), of the Davies-Bouldin
+// scatter (one sweep over all rows per cluster) and of the mode
+// separation. The library's mismatch-bank silhouette, one-pass scatter and
+// shared-profile internal_scores must reproduce them bit for bit at every
+// pool width and SIMD dispatch level.
+
+std::uint64_t bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+double reference_silhouette(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  if (ds.num_objects() == 0) return 0.0;
+  const PartitionProfile profile(ds, labels);
+  const int k = profile.num_clusters();
+  if (k < 2) return 0.0;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    const int own = labels[i];
+    if (profile.cluster_size(own) <= 1) continue;
+    const double a = profile.mean_distance(ds, i, own, true);
+    double b = std::numeric_limits<double>::infinity();
+    for (int l = 0; l < k; ++l) {
+      if (l == own || profile.cluster_size(l) == 0) continue;
+      b = std::min(b, profile.mean_distance(ds, i, l, false));
+    }
+    if (!std::isfinite(b)) continue;
+    const double denom = std::max(a, b);
+    if (denom > 0.0) sum += (b - a) / denom;
+  }
+  return sum / static_cast<double>(ds.num_objects());
+}
+
+double reference_mode_distance(const PartitionProfile& profile, std::size_t d,
+                               int l, int t) {
+  int mismatches = 0;
+  int compared = 0;
+  for (std::size_t r = 0; r < d; ++r) {
+    const data::Value a = profile.mode(l, r);
+    const data::Value b = profile.mode(t, r);
+    if (a == data::kMissing || b == data::kMissing) continue;
+    ++compared;
+    if (a != b) ++mismatches;
+  }
+  if (compared == 0) return 0.0;
+  return static_cast<double>(mismatches) / static_cast<double>(compared);
+}
+
+double reference_separation(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  const int k = profile.num_clusters();
+  if (k < 2) return 0.0;
+  double sum = 0.0;
+  int pairs = 0;
+  for (int l = 0; l < k; ++l) {
+    for (int t = l + 1; t < k; ++t) {
+      sum += reference_mode_distance(profile, ds.num_features(), l, t);
+      ++pairs;
+    }
+  }
+  return sum / static_cast<double>(pairs);
+}
+
+double reference_scatter(const data::DatasetView& ds,
+                         const std::vector<int>& labels,
+                         const PartitionProfile& profile, int l) {
+  double sum = 0.0;
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    if (labels[i] != l) continue;
+    ++members;
+    int mismatches = 0;
+    int compared = 0;
+    for (std::size_t r = 0; r < ds.num_features(); ++r) {
+      const data::Value v = ds.at(i, r);
+      const data::Value m = profile.mode(l, r);
+      if (v == data::kMissing || m == data::kMissing) continue;
+      ++compared;
+      if (v != m) ++mismatches;
+    }
+    if (compared > 0) {
+      sum += static_cast<double>(mismatches) / static_cast<double>(compared);
+    }
+  }
+  return members == 0 ? 0.0 : sum / static_cast<double>(members);
+}
+
+double reference_davies_bouldin(const data::DatasetView& ds,
+                                const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  const int k = profile.num_clusters();
+  if (k < 2) return 0.0;
+  std::vector<double> scatter;
+  for (int l = 0; l < k; ++l) {
+    scatter.push_back(reference_scatter(ds, labels, profile, l));
+  }
+  double sum = 0.0;
+  for (int l = 0; l < k; ++l) {
+    double worst = 0.0;
+    for (int t = 0; t < k; ++t) {
+      if (t == l) continue;
+      const double dist =
+          reference_mode_distance(profile, ds.num_features(), l, t);
+      const double numer = scatter[static_cast<std::size_t>(l)] +
+                           scatter[static_cast<std::size_t>(t)];
+      const double ratio = dist > 0.0
+                               ? numer / dist
+                               : (numer > 0.0
+                                      ? std::numeric_limits<double>::infinity()
+                                      : 0.0);
+      worst = std::max(worst, ratio);
+    }
+    sum += worst;
+  }
+  return sum / static_cast<double>(k);
+}
+
+struct LabelledTable {
+  data::Dataset ds;
+  std::vector<int> labels;
+};
+
+// 600 rows, 7 features of cardinality 5, label ids 0..5: row 0 is the
+// singleton cluster 5, id 4 is never used (an empty cluster), the rest
+// cycle through 0..3. Each cell takes its cluster's prototype value with
+// probability 0.7 and goes missing with probability `missing`.
+// `invalid_terms` additionally blanks feature 2 for every member of
+// cluster 1 (a non-empty cluster with no observed value there) and all of
+// row 1 (an object with nothing to compare).
+LabelledTable edge_case_table(double missing, bool invalid_terms,
+                              std::uint64_t seed) {
+  constexpr std::size_t kRows = 600;
+  constexpr std::size_t kFeatures = 7;
+  constexpr int kCard = 5;
+  Rng rng(seed);
+  data::DatasetBuilder builder({"f0", "f1", "f2", "f3", "f4", "f5", "f6"});
+  LabelledTable out;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const int label = i == 0 ? 5 : static_cast<int>(i % 4);
+    out.labels.push_back(label);
+    std::vector<std::string> row;
+    for (std::size_t r = 0; r < kFeatures; ++r) {
+      const int v = rng.bernoulli(0.7) ? (label + static_cast<int>(r)) % kCard
+                                       : static_cast<int>(rng.below(kCard));
+      const bool blank = rng.bernoulli(missing) ||
+                         (invalid_terms && ((label == 1 && r == 2) || i == 1));
+      row.push_back(blank ? "?" : "v" + std::to_string(v));
+    }
+    builder.add_row(row);
+  }
+  out.ds = std::move(builder).build();
+  return out;
+}
+
+// Runs every index at pool widths 1/2/8 under both SIMD dispatch levels
+// and asserts bit equality against the references.
+void expect_bitwise_references(const LabelledTable& table) {
+  const data::Dataset& ds = table.ds;
+  const std::vector<int>& labels = table.labels;
+  const std::uint64_t silhouette = bits(reference_silhouette(ds, labels));
+  const std::uint64_t db = bits(reference_davies_bouldin(ds, labels));
+  const std::uint64_t separation = bits(reference_separation(ds, labels));
+  const std::uint64_t compact = bits(compactness(ds, labels));
+  const std::uint64_t cu = bits(category_utility(ds, labels));
+  const core::simd::Level entry = core::simd::level();
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    for (const std::size_t width : {1u, 2u, 8u}) {
+      const std::size_t previous = set_parallel_width(width);
+      const std::string at =
+          std::string(core::simd::level_name(core::simd::level())) + " x " +
+          std::to_string(width) + " workers";
+      EXPECT_EQ(bits(categorical_silhouette(ds, labels)), silhouette) << at;
+      EXPECT_EQ(bits(davies_bouldin_modes(ds, labels)), db) << at;
+      EXPECT_EQ(bits(mode_separation(ds, labels)), separation) << at;
+      const InternalScores all = internal_scores(ds, labels);
+      EXPECT_EQ(bits(all.silhouette), silhouette) << at;
+      EXPECT_EQ(bits(all.davies_bouldin), db) << at;
+      EXPECT_EQ(bits(all.separation), separation) << at;
+      EXPECT_EQ(bits(all.compactness), compact) << at;
+      EXPECT_EQ(bits(all.category_utility), cu) << at;
+      set_parallel_width(previous);
+    }
+  }
+  core::simd::set_level(entry);
+}
+
+TEST(BitwiseReference, PoolHasEightWorkers) {
+  ASSERT_TRUE(kForcePoolWidth);
+  EXPECT_GE(global_pool().size(), 8u);
+}
+
+TEST(BitwiseReference, CleanTableWithSingletonAndEmptyCluster) {
+  expect_bitwise_references(edge_case_table(0.0, false, 11));
+}
+
+TEST(BitwiseReference, NullCells) {
+  expect_bitwise_references(edge_case_table(0.15, false, 12));
+}
+
+TEST(BitwiseReference, ClusterWithAnAllNullFeature) {
+  const LabelledTable table = edge_case_table(0.15, true, 13);
+  // The invalid-term path is really taken: cluster 1 has members but no
+  // observed value of feature 2.
+  const PartitionProfile profile(table.ds, table.labels);
+  ASSERT_GT(profile.cluster_size(1), 0u);
+  ASSERT_EQ(profile.non_null(1, 2), 0);
+  ASSERT_EQ(profile.cluster_size(4), 0u);
+  ASSERT_EQ(profile.cluster_size(5), 1u);
+  expect_bitwise_references(table);
+}
+
+TEST(BitwiseReference, PlantedAndShuffledLabels) {
+  data::WellSeparatedConfig config;
+  config.num_objects = 500;
+  config.num_clusters = 4;
+  config.purity = 0.75;
+  const data::Dataset ds = data::well_separated(config);
+  std::vector<int> shuffled = ds.labels();
+  Rng rng(9);
+  rng.shuffle(shuffled);
+  expect_bitwise_references({ds, ds.labels()});
+  expect_bitwise_references({ds, shuffled});
 }
 
 class InternalSweep : public ::testing::TestWithParam<std::uint64_t> {};
