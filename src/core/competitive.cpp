@@ -49,6 +49,8 @@ CompetitiveStage::CompetitiveStage(const data::DatasetView& ds,
 
 int CompetitiveStage::run() {
   const std::size_t n = ds_.num_objects();
+  const std::size_t d = ds_.num_features();
+  const simd::Kernels& kr = simd::kernels();
   int passes = 0;
   const auto k_start = static_cast<std::size_t>(set_.num_clusters());
   // Elimination quota that ends the stage (0 = no quota).
@@ -58,41 +60,41 @@ int CompetitiveStage::run() {
         std::ceil(config_.stage_drop_fraction * static_cast<double>(k_start)));
     quota = std::max<std::size_t>(quota, 1);
   }
+  cells_.resize(d);
 
   while (passes < config_.max_passes) {
     ++passes;
     bool changed = false;
+    // Eq. (7)'s sum g_total, kept running from here on. Winning counts are
+    // integral doubles, so every partial sum is exact: the running total
+    // equals a per-row re-summation bit for bit.
+    double g_total = 0.0;
+    for (double g : g_prev_) g_total += g;
 
     for (std::size_t i = 0; i < n; ++i) {
       const auto k = static_cast<std::size_t>(set_.num_clusters());
+      set_.row_cells(ds_, i, cells_.data());
       if (k == 1) {
         // A lone cluster trivially wins every object.
-        if (assignment_[i] != 0) {
-          if (assignment_[i] >= 0) {
-            set_.move(assignment_[i], 0, ds_, i);
-          } else {
-            set_.add(0, ds_, i);
-          }
-          assignment_[i] = 0;
-          changed = true;
-        }
+        changed = assign(i, 0) || changed;
         g_cur_[0] += 1.0;
-        if (config_.cumulative_rho) g_prev_[0] += 1.0;
+        if (config_.cumulative_rho) {
+          g_prev_[0] += 1.0;
+          g_total += 1.0;
+        }
         continue;
       }
 
-      double g_total = 0.0;
-      for (double g : g_prev_) g_total += g;
-
-      // One batched sweep scores x_i against every cluster (Eq. 14 with the
-      // per-cluster weight columns). The Eq. (7) penalty transform is
-      // elementwise, after which winner (Eq. 6) and rival (Eq. 9) are two
-      // vectorised lowest-id argmax scans — the second with the winner
-      // masked by a sentinel below any transformed score (all are >= 0).
-      // This reproduces the classic single-pass top-2 scan exactly,
-      // including its lowest-id tie resolution, keeping runs reproducible.
+      // One division-free sweep of the weighted-quotient bank scores x_i
+      // against every cluster (Eq. 14 with the per-cluster weight
+      // columns). The Eq. (7) penalty transform is elementwise, after
+      // which winner (Eq. 6) and rival (Eq. 9) are two vectorised
+      // lowest-id argmax scans — the second with the winner masked by a
+      // sentinel below any transformed score (all are >= 0). This
+      // reproduces the classic single-pass top-2 scan exactly, including
+      // its lowest-id tie resolution, keeping runs reproducible.
       scores_.resize(k);
-      set_.weighted_score_all(ds_, i, wt_.data(), scores_.data());
+      kr.score_row_f64(scores_.data(), bank_.data(), cells_.data(), d, 1.0, k);
       for (std::size_t l = 0; l < k; ++l) {
         // Eq. (7); under cumulative_rho g_prev_ mirrors the
         // stage-cumulative counts, otherwise it holds the previous sweep's
@@ -100,36 +102,28 @@ int CompetitiveStage::run() {
         const double rho = g_total > 0.0 ? g_prev_[l] / g_total : 0.0;
         scores_[l] = (1.0 - rho) * u_[l] * scores_[l];
       }
-      const simd::Kernels& kr = simd::kernels();
       const auto v = static_cast<std::size_t>(kr.argmax(scores_.data(), k));
       scores_[v] = -1.0;
       const auto h = static_cast<std::size_t>(kr.argmax(scores_.data(), k));
 
-      // Assign x_i to the winner (Eq. 4 row update).
-      const int old = assignment_[i];
-      if (old != static_cast<int>(v)) {
-        if (old >= 0) {
-          set_.move(old, static_cast<int>(v), ds_, i);
-        } else {
-          set_.add(static_cast<int>(v), ds_, i);
-        }
-        assignment_[i] = static_cast<int>(v);
-        changed = true;
-      }
+      changed = assign(i, static_cast<int>(v)) || changed;
       g_cur_[v] += 1.0;  // Eq. (10)
-      if (config_.cumulative_rho) g_prev_[v] += 1.0;
+      if (config_.cumulative_rho) {
+        g_prev_[v] += 1.0;
+        g_total += 1.0;
+      }
 
       if (config_.update == WeightUpdate::sigmoid_rival) {
         delta_[v] += config_.eta;  // Eq. (12)
         // Eq. (13): rival pushed away proportionally to closeness. The
-        // similarity is re-evaluated after the move because the winner's
-        // (and a moved-from rival's) histogram just changed.
-        const double penalty_sim =
-            config_.penalty_uses_winner_similarity
-                ? set_.weighted_score_one(static_cast<int>(v), ds_, i,
-                                          omega_[v])
-                : set_.weighted_score_one(static_cast<int>(h), ds_, i,
-                                          omega_[h]);
+        // similarity is read after the move (and its column refresh)
+        // because the winner's (and a moved-from rival's) histogram just
+        // changed.
+        const std::size_t c = config_.penalty_uses_winner_similarity ? v : h;
+        double penalty_sim = 0.0;
+        for (std::size_t r = 0; r < d; ++r) {
+          if (cells_[r] != simd::kNoCell) penalty_sim += bank_[cells_[r] + c];
+        }
         delta_[h] -= config_.eta * penalty_sim;
         u_[v] = cluster_weight_sigmoid(delta_[v]);
         u_[h] = cluster_weight_sigmoid(delta_[h]);
@@ -151,6 +145,24 @@ int CompetitiveStage::run() {
     }
   }
   return passes;
+}
+
+bool CompetitiveStage::assign(std::size_t i, int to) {
+  const int from = assignment_[i];
+  if (from == to) return false;
+  if (from >= 0) {
+    set_.move(from, to, ds_, i);
+  } else {
+    set_.add(to, ds_, i);
+  }
+  assignment_[i] = to;
+  set_.refresh_weighted_quotients(to, omega_[static_cast<std::size_t>(to)],
+                                  cells_.data(), bank_);
+  if (from >= 0) {
+    set_.refresh_weighted_quotients(
+        from, omega_[static_cast<std::size_t>(from)], cells_.data(), bank_);
+  }
+  return true;
 }
 
 void CompetitiveStage::reset_learning_state() {
@@ -178,14 +190,7 @@ void CompetitiveStage::refresh_feature_weights() {
 }
 
 void CompetitiveStage::rebuild_weight_bank() {
-  const auto k = static_cast<std::size_t>(set_.num_clusters());
-  const std::size_t d = ds_.num_features();
-  wt_.resize(d * k);
-  for (std::size_t r = 0; r < d; ++r) {
-    for (std::size_t l = 0; l < k; ++l) {
-      wt_[r * k + l] = omega_[l][r];
-    }
-  }
+  set_.fill_weighted_quotients(omega_, bank_);
 }
 
 void CompetitiveStage::prune_empty_clusters() {

@@ -110,8 +110,12 @@ class CompetitiveStage {
   void refresh_feature_weights();
   // Drops empty clusters, remapping assignment/ids densely.
   void prune_empty_clusters();
-  // Mirrors omega_ into the feature-major wt_ buffer score sweeps consume.
+  // Refills the whole weighted-quotient bank from the counts and omega_.
   void rebuild_weight_bank();
+  // Moves object i (whose row_cells are in cells_) into cluster `to`
+  // (Eq. 4 row update) and refreshes the two bank columns whose counts
+  // changed. Returns false when i already belongs to `to`.
+  bool assign(std::size_t i, int to);
 
   data::DatasetView ds_;
   StageConfig config_;
@@ -119,7 +123,12 @@ class CompetitiveStage {
 
   ProfileSet set_;  // all k clusters' histograms, one flat bank
   std::vector<std::vector<double>> omega_;  // [cluster][feature]
-  std::vector<double> wt_;                  // omega_ transposed: [r * k + l]
+  // Weighted-quotient bank (ProfileSet::fill_weighted_quotients): every
+  // Eq. (14) term w_rl * count / non_null, precomputed so a row's scores
+  // are one division-free score_row_f64 sweep. Kept exact by refreshing
+  // the winner's and the moved-from cluster's columns on every move.
+  AlignedVec<double> bank_;
+  std::vector<std::size_t> cells_;          // current row's bank offsets
   std::vector<double> scores_;              // per-object batched scores
   std::vector<int> assignment_;             // -1 while unassigned
   // Winning counts (Eq. 10): g_prev_ holds the previous sweep's counts —

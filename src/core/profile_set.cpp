@@ -351,37 +351,6 @@ void ProfileSet::score_all(const data::Value* row, double* out) const {
   kr.div_f64(out, static_cast<double>(d), k);
 }
 
-void ProfileSet::weighted_score_all(const data::Value* row,
-                                    const double* weights, double* out) const {
-  const auto k = static_cast<std::size_t>(k_);
-  const std::size_t d = cardinalities_.size();
-  const simd::Kernels& kr = simd::kernels();
-  std::fill(out, out + k, 0.0);
-  if (frozen_ && !probs_f32_.empty()) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f32(out, weights + r * k,
-                   probs_f32_.data() + cell(r, v) * stride_, k);
-    }
-  } else if (frozen_) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f64(out, weights + r * k, probs_.data() + cell(r, v) * stride_,
-                   k);
-    }
-  } else {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.quot_w_f64(out, weights + r * k,
-                    counts_.data() + cell(r, v) * stride_,
-                    non_null_.data() + r * stride_, k);
-    }
-  }
-}
-
 double ProfileSet::score_one(int l, const data::Value* row) const {
   const std::size_t d = cardinalities_.size();
   double sum = 0.0;
@@ -389,16 +358,6 @@ double ProfileSet::score_one(int l, const data::Value* row) const {
     sum += value_similarity(l, r, row[r]);
   }
   return sum / static_cast<double>(d);
-}
-
-double ProfileSet::weighted_score_one(
-    int l, const data::Value* row, const std::vector<double>& weights) const {
-  const std::size_t d = cardinalities_.size();
-  double sum = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    sum += weights[r] * value_similarity(l, r, row[r]);
-  }
-  return sum;
 }
 
 void ProfileSet::score_all(const data::DatasetView& ds, std::size_t i,
@@ -430,37 +389,6 @@ void ProfileSet::score_all(const data::DatasetView& ds, std::size_t i,
   kr.div_f64(out, static_cast<double>(d), k);
 }
 
-void ProfileSet::weighted_score_all(const data::DatasetView& ds, std::size_t i,
-                                    const double* weights, double* out) const {
-  const auto k = static_cast<std::size_t>(k_);
-  const std::size_t d = cardinalities_.size();
-  const simd::Kernels& kr = simd::kernels();
-  std::fill(out, out + k, 0.0);
-  if (frozen_ && !probs_f32_.empty()) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f32(out, weights + r * k,
-                   probs_f32_.data() + cell(r, v) * stride_, k);
-    }
-  } else if (frozen_) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f64(out, weights + r * k, probs_.data() + cell(r, v) * stride_,
-                   k);
-    }
-  } else {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.quot_w_f64(out, weights + r * k,
-                    counts_.data() + cell(r, v) * stride_,
-                    non_null_.data() + r * stride_, k);
-    }
-  }
-}
-
 double ProfileSet::score_one(int l, const data::DatasetView& ds,
                              std::size_t i) const {
   const std::size_t d = cardinalities_.size();
@@ -471,15 +399,37 @@ double ProfileSet::score_one(int l, const data::DatasetView& ds,
   return sum / static_cast<double>(d);
 }
 
-double ProfileSet::weighted_score_one(
-    int l, const data::DatasetView& ds, std::size_t i,
-    const std::vector<double>& weights) const {
-  const std::size_t d = cardinalities_.size();
-  double sum = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    sum += weights[r] * value_similarity(l, r, ds.at(i, r));
+void ProfileSet::fill_weighted_quotients(
+    const std::vector<std::vector<double>>& weights,
+    AlignedVec<double>& bank) const {
+  bank.assign(counts_.size(), 0.0);
+  for (int l = 0; l < k_; ++l) {
+    refresh_weighted_quotients(l, weights[static_cast<std::size_t>(l)],
+                               nullptr, bank);
   }
-  return sum;
+}
+
+void ProfileSet::refresh_weighted_quotients(int l,
+                                            const std::vector<double>& weights,
+                                            const std::size_t* cells,
+                                            AlignedVec<double>& bank) const {
+  const auto lu = static_cast<std::size_t>(l);
+  for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
+    if (cells != nullptr && cells[r] == simd::kNoCell) continue;
+    const double nn = non_null_[r * stride_ + lu];
+    for (std::size_t c = offsets_[r]; c < offsets_[r + 1]; ++c) {
+      const std::size_t at = c * stride_ + lu;
+      bank[at] = nn > 0.0 ? weights[r] * (counts_[at] / nn) : 0.0;
+    }
+  }
+}
+
+void ProfileSet::row_cells(const data::DatasetView& ds, std::size_t i,
+                           std::size_t* cells) const {
+  for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
+    const data::Value v = ds.at(i, r);
+    cells[r] = in_domain(r, v) ? cell(r, v) * stride_ : simd::kNoCell;
+  }
 }
 
 int ProfileSet::best_cluster(const data::Value* row,
@@ -536,11 +486,7 @@ void ProfileSet::best_clusters(const data::DatasetView& ds, std::size_t lo,
   for (std::size_t t0 = lo; t0 < hi; t0 += kRowTile) {
     const std::size_t m = std::min(kRowTile, hi - t0);
     for (std::size_t t = 0; t < m; ++t) {
-      for (std::size_t r = 0; r < d; ++r) {
-        const data::Value v = ds.at(t0 + t, r);
-        cells[t * d + r] =
-            in_domain(r, v) ? cell(r, v) * stride_ : simd::kNoCell;
-      }
+      row_cells(ds, t0 + t, cells.data() + t * d);
     }
     best_clusters_tile(cells.data(), m, scores.data(), out + (t0 - lo));
   }

@@ -113,26 +113,36 @@ class ProfileSet {
   // Batched Eq. (1): out[l] = s(row, C_l) for every cluster, one
   // feature-major sweep. `out` must hold num_clusters() doubles.
   void score_all(const data::Value* row, double* out) const;
-  // Batched Eq. (14): weights are feature-major, weights[r * k + l] = w_rl
-  // (each cluster's weight column sums to 1, so no 1/d factor).
-  void weighted_score_all(const data::Value* row, const double* weights,
-                          double* out) const;
   // Eq. (1) against a single cluster (the streaming rival-penalty path).
   double score_one(int l, const data::Value* row) const;
-  // Eq. (14) against a single cluster with a length-d weight vector.
-  double weighted_score_one(int l, const data::Value* row,
-                            const std::vector<double>& weights) const;
 
   // View-position overloads of the batched/single scorers: identical
   // arithmetic in identical (ascending-feature) order, reading cells
   // straight out of the columnar bank instead of a gathered row.
   void score_all(const data::DatasetView& ds, std::size_t i,
                  double* out) const;
-  void weighted_score_all(const data::DatasetView& ds, std::size_t i,
-                          const double* weights, double* out) const;
   double score_one(int l, const data::DatasetView& ds, std::size_t i) const;
-  double weighted_score_one(int l, const data::DatasetView& ds, std::size_t i,
-                            const std::vector<double>& weights) const;
+
+  // Weighted-quotient bank of a live Eq. (14) sweep (the competitive
+  // stage's): counts_'s layout, cell (r, v) of cluster l holding
+  //   non_null(l, r) > 0 ? w_rl * (count / non_null) : 0.0,
+  // with w_rl = weights[l][r]. A row's Eq. (14) score is then the plain
+  // sum of its present cells in ascending r (simd::score_row_f64 with
+  // denominator 1), bit-identical to ClusterProfile::weighted_similarity.
+  // The fill sizes `bank` and computes every cell. The refresh recomputes
+  // cluster l's column over the features `cells` (a row_cells() result;
+  // nullptr = every feature) marks present, every value of each: after
+  // that row joins or leaves l, the only cells whose count or non-null
+  // total changed.
+  void fill_weighted_quotients(const std::vector<std::vector<double>>& weights,
+                               AlignedVec<double>& bank) const;
+  void refresh_weighted_quotients(int l, const std::vector<double>& weights,
+                                  const std::size_t* cells,
+                                  AlignedVec<double>& bank) const;
+  // cells[r] = bank offset of view row i's (r, x_ir) cell block, or
+  // simd::kNoCell when the value is missing or out of domain.
+  void row_cells(const data::DatasetView& ds, std::size_t i,
+                 std::size_t* cells) const;
 
   // Argmax of score_all with ties resolved to the lowest cluster id.
   // `scratch` is resized to k; pass a per-thread buffer in parallel sweeps.

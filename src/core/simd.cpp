@@ -18,20 +18,8 @@ void acc_f64_scalar(double* out, const double* p, std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) out[l] += p[l];
 }
 
-void acc_w_f64_scalar(double* out, const double* w, const double* p,
-                      std::size_t k) {
-  for (std::size_t l = 0; l < k; ++l) out[l] += w[l] * p[l];
-}
-
 void acc_f32_scalar(double* out, const float* p, std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) out[l] += static_cast<double>(p[l]);
-}
-
-void acc_w_f32_scalar(double* out, const double* w, const float* p,
-                      std::size_t k) {
-  for (std::size_t l = 0; l < k; ++l) {
-    out[l] += w[l] * static_cast<double>(p[l]);
-  }
 }
 
 void div_f64_scalar(double* out, double denom, std::size_t k) {
@@ -42,13 +30,6 @@ void quot_f64_scalar(double* out, const double* c, const double* nn,
                      std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) {
     out[l] += nn[l] > 0.0 ? c[l] / nn[l] : 0.0;
-  }
-}
-
-void quot_w_f64_scalar(double* out, const double* w, const double* c,
-                       const double* nn, std::size_t k) {
-  for (std::size_t l = 0; l < k; ++l) {
-    out[l] += nn[l] > 0.0 ? w[l] * (c[l] / nn[l]) : 0.0;
   }
 }
 
@@ -81,9 +62,8 @@ void score_row_scalar(double* out, const T* bank, const std::size_t* cells,
 }
 
 constexpr Kernels kScalarTable = {
-    acc_f64_scalar,    acc_w_f64_scalar,      acc_f32_scalar,
-    acc_w_f32_scalar,  div_f64_scalar,        quot_f64_scalar,
-    quot_w_f64_scalar, argmax_scalar,         score_row_scalar<double>,
+    acc_f64_scalar,  acc_f32_scalar, div_f64_scalar,
+    quot_f64_scalar, argmax_scalar,  score_row_scalar<double>,
     score_row_scalar<float>,
 };
 

@@ -1,4 +1,4 @@
-// Runtime-dispatched SIMD kernels for the frozen scoring sweep.
+// Runtime-dispatched SIMD kernels for the scoring sweeps.
 //
 // ProfileSet's value-major layout makes every inner loop of the scoring
 // path a stride-1 elementwise sweep over a k-contiguous cell block. This
@@ -52,22 +52,13 @@ Level set_level(Level level);
 struct Kernels {
   // out[l] += p[l]
   void (*acc_f64)(double* out, const double* p, std::size_t k);
-  // out[l] += w[l] * p[l]   (multiply then add; never fused)
-  void (*acc_w_f64)(double* out, const double* w, const double* p,
-                    std::size_t k);
   // out[l] += static_cast<double>(p[l])   (compact frozen bank)
   void (*acc_f32)(double* out, const float* p, std::size_t k);
-  // out[l] += w[l] * static_cast<double>(p[l])
-  void (*acc_w_f32)(double* out, const double* w, const float* p,
-                    std::size_t k);
   // out[l] /= denom   (kept a true division — no reciprocal multiply)
   void (*div_f64)(double* out, double denom, std::size_t k);
   // out[l] += nn[l] > 0.0 ? c[l] / nn[l] : 0.0   (live, unfrozen path)
   void (*quot_f64)(double* out, const double* c, const double* nn,
                    std::size_t k);
-  // out[l] += nn[l] > 0.0 ? w[l] * (c[l] / nn[l]) : 0.0
-  void (*quot_w_f64)(double* out, const double* w, const double* c,
-                     const double* nn, std::size_t k);
   // First index attaining the strict maximum of s[0..k) — the scoring
   // argmax with ties resolved to the lowest cluster id. Matches the
   // scalar scan `best = 0; best_score = -1.0; if (s > best_score) ...`
@@ -78,7 +69,9 @@ struct Kernels {
   // features contribute nothing). The register-blocked batch microkernel:
   // per lane the accumulation runs r ascending into a single accumulator
   // and divides once, exactly the acc/div sequence the per-row path
-  // performs, so labels (and scores) stay byte-identical to it.
+  // performs, so labels (and scores) stay byte-identical to it. With
+  // denom 1.0 it is an exact per-lane sum: the silhouette's mismatch bank
+  // and the competitive stage's weighted-quotient bank score rows so.
   void (*score_row_f64)(double* out, const double* bank,
                         const std::size_t* cells, std::size_t d, double denom,
                         std::size_t k);

@@ -1,9 +1,9 @@
 // AVX2 implementations of the core/simd.h kernel table.
 //
 // This translation unit is the only one compiled with -mavx2 (plus
-// -ffp-contract=off so GCC cannot contract the explicit mul+add pairs
-// below into FMAs — the scalar path rounds the product before the add,
-// and byte-identity with it is the whole contract). Everything here is
+// -ffp-contract=off so GCC can never contract a multiply and an add into
+// an FMA — the scalar path rounds the product before the add, and
+// byte-identity with it is the whole contract). Everything here is
 // elementwise over the cluster dimension: lane l of a vector only ever
 // combines slot-l values, so per-feature accumulation order matches the
 // scalar loop exactly and no horizontal reduction touches a comparator.
@@ -29,19 +29,6 @@ void acc_f64_avx2(double* out, const double* p, std::size_t k) {
   for (; l < k; ++l) out[l] += p[l];
 }
 
-void acc_w_f64_avx2(double* out, const double* w, const double* p,
-                    std::size_t k) {
-  std::size_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const __m256d acc = _mm256_loadu_pd(out + l);
-    // mul then add, matching the scalar rounding (no _mm256_fmadd_pd).
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_loadu_pd(w + l), _mm256_loadu_pd(p + l));
-    _mm256_storeu_pd(out + l, _mm256_add_pd(acc, prod));
-  }
-  for (; l < k; ++l) out[l] += w[l] * p[l];
-}
-
 void acc_f32_avx2(double* out, const float* p, std::size_t k) {
   std::size_t l = 0;
   for (; l + 4 <= k; l += 4) {
@@ -51,18 +38,6 @@ void acc_f32_avx2(double* out, const float* p, std::size_t k) {
     _mm256_storeu_pd(out + l, _mm256_add_pd(acc, val));
   }
   for (; l < k; ++l) out[l] += static_cast<double>(p[l]);
-}
-
-void acc_w_f32_avx2(double* out, const double* w, const float* p,
-                    std::size_t k) {
-  std::size_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const __m256d acc = _mm256_loadu_pd(out + l);
-    const __m256d val = _mm256_cvtps_pd(_mm_loadu_ps(p + l));
-    const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(w + l), val);
-    _mm256_storeu_pd(out + l, _mm256_add_pd(acc, prod));
-  }
-  for (; l < k; ++l) out[l] += w[l] * static_cast<double>(p[l]);
 }
 
 void div_f64_avx2(double* out, double denom, std::size_t k) {
@@ -91,23 +66,6 @@ void quot_f64_avx2(double* out, const double* c, const double* nn,
     _mm256_storeu_pd(out + l, _mm256_add_pd(_mm256_loadu_pd(out + l), add));
   }
   for (; l < k; ++l) out[l] += nn[l] > 0.0 ? c[l] / nn[l] : 0.0;
-}
-
-void quot_w_f64_avx2(double* out, const double* w, const double* c,
-                     const double* nn, std::size_t k) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  std::size_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const __m256d vnn = _mm256_loadu_pd(nn + l);
-    const __m256d mask = _mm256_cmp_pd(vnn, zero, _CMP_GT_OQ);
-    const __m256d safe = _mm256_blendv_pd(one, vnn, mask);
-    const __m256d q = _mm256_div_pd(_mm256_loadu_pd(c + l), safe);
-    const __m256d wq = _mm256_mul_pd(_mm256_loadu_pd(w + l), q);
-    const __m256d add = _mm256_blendv_pd(zero, wq, mask);
-    _mm256_storeu_pd(out + l, _mm256_add_pd(_mm256_loadu_pd(out + l), add));
-  }
-  for (; l < k; ++l) out[l] += nn[l] > 0.0 ? w[l] * (c[l] / nn[l]) : 0.0;
 }
 
 int argmax_avx2(const double* s, std::size_t k) {
@@ -226,9 +184,8 @@ void score_row_avx2(double* out, const T* bank, const std::size_t* cells,
 }
 
 constexpr Kernels kAvx2Table = {
-    acc_f64_avx2,    acc_w_f64_avx2,        acc_f32_avx2,
-    acc_w_f32_avx2,  div_f64_avx2,          quot_f64_avx2,
-    quot_w_f64_avx2, argmax_avx2,           score_row_avx2<double>,
+    acc_f64_avx2,  acc_f32_avx2, div_f64_avx2,
+    quot_f64_avx2, argmax_avx2,  score_row_avx2<double>,
     score_row_avx2<float>,
 };
 

@@ -73,19 +73,23 @@ PartitionProfile::PartitionProfile(const data::DatasetView& ds,
   for (std::size_t i = 0; i < n; ++i) {
     ++sizes_[static_cast<std::size_t>(labels[i])];
   }
-  // Feature-major fill: each column is swept stride-1 and writes only its
-  // own cell block of the bank.
-  for (std::size_t r = 0; r < d; ++r) {
-    int* cell_block = counts_.data() + offsets_[r] * ku;
-    int* nn = non_null_.data() + r * ku;
-    for (std::size_t i = 0; i < n; ++i) {
-      const data::Value v = ds.at(i, r);
-      if (v == data::kMissing) continue;
-      const auto l = static_cast<std::size_t>(labels[i]);
-      ++cell_block[static_cast<std::size_t>(v) * ku + l];
-      ++nn[l];
+  // Feature-major fill, fanned out per feature: each column is swept
+  // stride-1 and writes only its own cell block and non-null row of the
+  // bank. The counts are integers, so the bank is the same at every pool
+  // width.
+  parallel_chunks(d, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      int* cell_block = counts_.data() + offsets_[r] * ku;
+      int* nn = non_null_.data() + r * ku;
+      for (std::size_t i = 0; i < n; ++i) {
+        const data::Value v = ds.at(i, r);
+        if (v == data::kMissing) continue;
+        const auto l = static_cast<std::size_t>(labels[i]);
+        ++cell_block[static_cast<std::size_t>(v) * ku + l];
+        ++nn[l];
+      }
     }
-  }
+  });
 }
 
 data::Value PartitionProfile::mode(int l, std::size_t r) const {

@@ -372,5 +372,56 @@ TEST(ThreadDeterminism, OnlineLoopIsWidthInvariant) {
 #endif
 }
 
+// Mgcpl::run's whole output flattened for hashing: k0, kappa, every Gamma
+// partition and every stage's k_before/k_after/passes.
+std::vector<int> flatten(const core::MgcplResult& result) {
+  std::vector<int> out = {result.k0, result.sigma()};
+  out.insert(out.end(), result.kappa.begin(), result.kappa.end());
+  for (const std::vector<int>& partition : result.partitions) {
+    out.insert(out.end(), partition.begin(), partition.end());
+  }
+  for (const core::MgcplStageStats& stage : result.stages) {
+    out.push_back(stage.k_before);
+    out.push_back(stage.k_after);
+    out.push_back(stage.passes);
+  }
+  return out;
+}
+
+// The multi-granular learning itself, pinned per SIMD dispatch level on
+// the NULL-bearing fit data and on a nested (coarse x fine) dataset. The
+// competitive sweep is serial, so a moved hash means the per-row scoring,
+// the penalty or the bank maintenance changed a bit somewhere in Gamma.
+TEST(MgcplGolden, GammaIsPinnedAtEverySimdLevel) {
+  data::NestedConfig config;
+  config.num_objects = 2000;
+  config.num_features = 16;
+  config.num_coarse = 4;
+  config.fine_per_coarse = 3;
+  config.cardinality = 12;
+  config.purity = 0.8;
+  config.seed = 5;
+  const data::Dataset nested = data::nested(config).dataset;
+  const data::Dataset ds = fit_dataset();
+  const core::simd::Level entry = core::simd::level();
+
+  std::uint64_t hashes[2] = {kFnvSeed, kFnvSeed};
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
+    h = fnv1a(h, flatten(core::Mgcpl().run(ds, 17)));
+    h = fnv1a(h, flatten(core::Mgcpl().run(nested, 7)));
+  }
+  core::simd::set_level(entry);
+#if defined(__linux__) && defined(__GLIBC__)
+  // Pinned from the per-row sweep that re-divided every live quotient,
+  // before the stage scored rows from its weighted-quotient bank.
+  EXPECT_EQ(hashes[0], 0x8bebc0da3eb23e9dULL) << "scalar MGCPL Gamma drifted";
+  EXPECT_EQ(hashes[1], hashes[0])
+      << "AVX2 MGCPL Gamma diverged from the scalar baseline";
+#endif
+}
+
 }  // namespace
 }  // namespace mcdc

@@ -1,6 +1,8 @@
 // Tests for the flat ProfileSet scoring kernel (profile_set.h): equivalence
 // with the per-cluster ClusterProfile path on randomised datasets with
-// NULLs, incremental maintenance, cluster append/remove restriding,
+// NULLs, the weighted-quotient bank (its sums against weighted_similarity
+// and its column refresh against a full refill, both bitwise), incremental
+// maintenance, cluster append/remove restriding,
 // out-of-domain clamping, and fixed-seed label goldens across every
 // registered method (the byte-identity contract of the kernel rewire);
 // plus the register-blocked batch argmax vs the per-row scan, the compact
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "core/similarity.h"
+#include "core/simd.h"
 #include "data/noise.h"
 #include "data/synthetic.h"
 
@@ -88,40 +92,117 @@ TEST(ProfileSet, ScoreAllMatchesPerClusterSimilarity) {
   }
 }
 
-TEST(ProfileSet, WeightedScoreAllMatchesWeightedSimilarity) {
-  const RandomCase c = random_case(11);
-  const auto profiles = core::build_profiles(c.ds, c.labels, c.k);
-  core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
-
-  // Random per-cluster weight vectors, transposed into the feature-major
-  // bank weighted_score_all consumes.
-  Rng rng(99);
+// random_case with feature 0 blanked on every row of cluster 0, so the
+// bank also holds a (cluster, feature) whose non-null total is 0.
+RandomCase null_feature_case(std::uint64_t seed) {
+  const RandomCase c = random_case(seed);
+  const std::size_t n = c.ds.num_objects();
   const std::size_t d = c.ds.num_features();
-  std::vector<std::vector<double>> omega(static_cast<std::size_t>(c.k),
-                                         std::vector<double>(d));
-  std::vector<double> bank(d * static_cast<std::size_t>(c.k));
-  for (int l = 0; l < c.k; ++l) {
+  std::vector<data::Value> cells(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < d; ++r) {
-      const double w = rng.uniform();
-      omega[static_cast<std::size_t>(l)][r] = w;
-      bank[r * static_cast<std::size_t>(c.k) + static_cast<std::size_t>(l)] = w;
+      cells[i * d + r] =
+          r == 0 && c.labels[i] == 0 ? data::kMissing : c.ds.at(i, r);
     }
   }
+  return {data::Dataset(n, d, std::move(cells), c.ds.cardinalities()),
+          c.labels, c.k};
+}
 
-  std::vector<double> batched(static_cast<std::size_t>(c.k));
+// Random per-cluster weight vectors: weights[l][r] = w_rl.
+std::vector<std::vector<double>> random_weights(std::uint64_t seed, int k,
+                                                std::size_t d) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> weights(static_cast<std::size_t>(k),
+                                           std::vector<double>(d));
+  for (auto& column : weights) {
+    for (double& w : column) w = rng.uniform();
+  }
+  return weights;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(ProfileSet, WeightedQuotientBankSumsToWeightedSimilarity) {
+  const RandomCase c = null_feature_case(11);
+  const auto profiles = core::build_profiles(c.ds, c.labels, c.k);
+  const core::ProfileSet set =
+      core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
+  ASSERT_EQ(set.non_null(0, 0), 0.0);  // the all-NULL (cluster, feature)
+  const std::size_t d = c.ds.num_features();
+  const auto weights = random_weights(99, c.k, d);
+  core::AlignedVec<double> bank;
+  set.fill_weighted_quotients(weights, bank);
+
+  const auto k = static_cast<std::size_t>(c.k);
+  std::vector<std::size_t> cells(d);
+  std::vector<double> swept(k);
   for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
-    set.weighted_score_all(c.ds, i, bank.data(), batched.data());
-    for (int l = 0; l < c.k; ++l) {
+    set.row_cells(c.ds, i, cells.data());
+    core::simd::kernels().score_row_f64(swept.data(), bank.data(),
+                                        cells.data(), d, 1.0, k);
+    for (std::size_t l = 0; l < k; ++l) {
+      double summed = 0.0;
+      for (std::size_t r = 0; r < d; ++r) {
+        if (cells[r] != core::simd::kNoCell) summed += bank[cells[r] + l];
+      }
       const double reference =
-          profiles[static_cast<std::size_t>(l)].weighted_similarity(
-              c.ds, i, omega[static_cast<std::size_t>(l)]);
-      EXPECT_DOUBLE_EQ(batched[static_cast<std::size_t>(l)], reference);
-      EXPECT_DOUBLE_EQ(
-          set.weighted_score_one(l, c.ds, i,
-                                 omega[static_cast<std::size_t>(l)]),
-          reference);
+          profiles[l].weighted_similarity(c.ds, i, weights[l]);
+      EXPECT_TRUE(same_bits(summed, reference)) << "row " << i << " l " << l;
+      EXPECT_TRUE(same_bits(swept[l], reference)) << "row " << i << " l " << l;
     }
   }
+}
+
+TEST(ProfileSet, WeightedQuotientRefreshMatchesRefill) {
+  RandomCase c = null_feature_case(21);
+  const std::size_t d = c.ds.num_features();
+  Rng rng(7);
+  // A few rows start unassigned so the walk also adds.
+  for (int step = 0; step < 20; ++step) {
+    c.labels[static_cast<std::size_t>(rng.below(c.ds.num_objects()))] = -1;
+  }
+  core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
+  const auto weights = random_weights(5, c.k, d);
+  core::AlignedVec<double> bank;
+  set.fill_weighted_quotients(weights, bank);
+
+  std::vector<std::size_t> cells(d);
+  const auto refresh = [&](int l) {
+    if (l >= 0) {
+      set.refresh_weighted_quotients(l, weights[static_cast<std::size_t>(l)],
+                                     cells.data(), bank);
+    }
+  };
+  for (int step = 0; step < 200; ++step) {
+    const auto i = static_cast<std::size_t>(rng.below(c.ds.num_objects()));
+    const int from = c.labels[i];
+    // One in four steps unassigns; the rest join a random cluster.
+    const int to = rng.below(4) == 0
+                       ? -1
+                       : static_cast<int>(
+                             rng.below(static_cast<std::uint64_t>(c.k)));
+    if (from == to) continue;
+    set.row_cells(c.ds, i, cells.data());
+    if (from < 0) {
+      set.add(to, c.ds, i);
+    } else if (to < 0) {
+      set.remove(from, c.ds, i);
+    } else {
+      set.move(from, to, c.ds, i);
+    }
+    c.labels[i] = to;
+    refresh(to);
+    refresh(from);
+  }
+  core::AlignedVec<double> refilled;
+  set.fill_weighted_quotients(weights, refilled);
+  ASSERT_EQ(bank.size(), refilled.size());
+  EXPECT_EQ(std::memcmp(bank.data(), refilled.data(),
+                        bank.size() * sizeof(double)),
+            0);
 }
 
 TEST(ProfileSet, IncrementalMaintenanceMatchesRebuild) {
