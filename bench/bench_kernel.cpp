@@ -1,5 +1,6 @@
 // Batch object-cluster scoring throughput: nested per-cluster ClusterProfile
-// walks vs the flat ProfileSet kernel (live, frozen per-row, the production
+// walks (the reference in tests/support, a separate translation unit) vs
+// the flat ProfileSet kernel (live, frozen per-row, the production
 // cache-blocked SIMD batch sweep, and frozen + threaded), at the Fig. 6
 // synthetic scales (Syn_n: d = 10, cardinality 4).
 //
@@ -7,9 +8,7 @@
 //
 // Every byte-identity path must produce identical argmax labels; the bench
 // aborts with a non-zero exit if they diverge. --smoke shrinks the sweep for
-// CI and still checks the equivalence. The opt-in compact float32 bank is
-// NOT byte-identity-contracted: its label agreement is reported per k but
-// gated by Model::try_compact_scorer in production, not here.
+// CI and still checks the equivalence.
 //
 // Acceptance targets:
 //   * ISSUE 3: single-thread frozen sweep >= 2x the nested path (k >= 16)
@@ -33,8 +32,8 @@
 #include "common/timer.h"
 #include "core/profile_set.h"
 #include "core/simd.h"
-#include "core/similarity.h"
 #include "data/synthetic.h"
+#include "support/nested_profile.h"
 
 namespace {
 
@@ -136,7 +135,6 @@ int main(int argc, char** argv) {
               "simd/sc");
 
   bool all_match = true;
-  bool compact_match = true;
   bool meets_target = true;
   bool meets_simd_target = true;
   api::Json metrics = api::Json::object();
@@ -148,7 +146,7 @@ int main(int argc, char** argv) {
     core::ProfileSet set = core::ProfileSet::from_assignment(ds, assignment, k);
 
     std::vector<int> nested_labels(n), flat_labels(n), naive_labels(n),
-        frozen_labels(n), mt_labels(n), scalar_labels(n), compact_labels(n);
+        frozen_labels(n), mt_labels(n), scalar_labels(n);
     const double t_nested = time_nested(ds, profiles, repeats, nested_labels);
     const double t_flat = time_flat(ds, set, repeats, flat_labels);
     set.freeze();
@@ -164,17 +162,12 @@ int main(int argc, char** argv) {
       t_scalar = time_blocked(ds, set, repeats, scalar_labels);
       core::simd::set_level(prev);
     }
-    // Opt-in compact float32 bank over the same blocked sweep.
-    set.freeze_compact();
-    const double t_compact = time_blocked(ds, set, repeats, compact_labels);
-    set.thaw_compact();
 
     if (flat_labels != nested_labels || naive_labels != nested_labels ||
         frozen_labels != nested_labels || mt_labels != nested_labels ||
         (avx2 && scalar_labels != nested_labels)) {
       all_match = false;
     }
-    if (compact_labels != nested_labels) compact_match = false;
     const double rows = static_cast<double>(n) * repeats;
     const double fz_speedup = t_frozen > 0.0 ? t_nested / t_frozen : 0.0;
     const double blk_speedup = t_frozen > 0.0 ? t_naive / t_frozen : 0.0;
@@ -191,7 +184,6 @@ int main(int argc, char** argv) {
     at_k["frozen_naive_rps"] = rows / t_naive;
     at_k["frozen_rps"] = rows / t_frozen;
     at_k["frozen_mt_rps"] = rows / t_mt;
-    at_k["compact_rps"] = rows / t_compact;
     if (avx2) at_k["frozen_scalar_rps"] = rows / t_scalar;
     metrics["k" + std::to_string(k)] = std::move(at_k);
     // Only the gated cluster counts are recorded as ratios: below ~8
@@ -223,8 +215,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("labels identical across all byte-identity paths: yes\n");
-  std::printf("compact f32 bank labels identical (informative): %s\n",
-              compact_match ? "yes" : "no");
   std::printf("frozen single-thread >= 2x nested (k >= 16): %s\n",
               meets_target ? "yes" : "NO");
   if (avx2) {

@@ -7,7 +7,7 @@
 #include "core/competitive.h"
 #include "core/encoding.h"
 #include "core/mgcpl.h"
-#include "core/similarity.h"
+#include "core/profile_set.h"
 #include "data/synthetic.h"
 #include "metrics/indices.h"
 
@@ -29,38 +29,24 @@ const data::Dataset& bench_data() {
 
 void BM_SimilarityEq1(benchmark::State& state) {
   const auto& ds = bench_data();
-  core::ClusterProfile profile(ds.cardinalities());
-  for (std::size_t i = 0; i < 1000; ++i) profile.add(ds, i);
+  core::ProfileSet profile(ds.cardinalities(), 1);
+  for (std::size_t i = 0; i < 1000; ++i) profile.add(0, ds, i);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.similarity(ds, i));
+    benchmark::DoNotOptimize(profile.score_one(0, ds, i));
     i = (i + 1) % ds.num_objects();
   }
 }
 BENCHMARK(BM_SimilarityEq1);
 
-void BM_WeightedSimilarityEq14(benchmark::State& state) {
-  const auto& ds = bench_data();
-  core::ClusterProfile profile(ds.cardinalities());
-  for (std::size_t i = 0; i < 1000; ++i) profile.add(ds, i);
-  const std::vector<double> weights(ds.num_features(),
-                                    1.0 / static_cast<double>(ds.num_features()));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.weighted_similarity(ds, i, weights));
-    i = (i + 1) % ds.num_objects();
-  }
-}
-BENCHMARK(BM_WeightedSimilarityEq14);
-
 void BM_ProfileAddRemove(benchmark::State& state) {
   const auto& ds = bench_data();
-  core::ClusterProfile profile(ds.cardinalities());
-  profile.add(ds, 0);
+  core::ProfileSet profile(ds.cardinalities(), 1);
+  profile.add(0, ds, 0);
   std::size_t i = 1;
   for (auto _ : state) {
-    profile.add(ds, i);
-    profile.remove(ds, i);
+    profile.add(0, ds, i);
+    profile.remove(0, ds, i);
     i = (i + 1) % ds.num_objects();
     if (i == 0) i = 1;
   }

@@ -5,6 +5,7 @@
 // memory consumed while loading is bounded by the bytes actually present.
 #include "api/artifact.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -118,6 +119,17 @@ class Reader {
     return std::bit_cast<double>(u64(what));
   }
 
+  // Throws unless `count` elements of at least `bytes_each` bytes can
+  // still fit in what remains — the check that runs before a section's
+  // storage is reserved.
+  void bound(std::uint64_t count, std::uint64_t bytes_each, const char* what) {
+    if (count > remaining() / bytes_each) {
+      throw ArtifactError("truncated: " + std::string(what) + " declares " +
+                          std::to_string(count) + " entries, " +
+                          std::to_string(remaining()) + " bytes remain");
+    }
+  }
+
   std::string str(const char* what) {
     const std::uint32_t len = u32(what);
     const std::uint8_t* p = take(len, what);
@@ -145,13 +157,15 @@ std::vector<std::uint8_t> Model::to_binary(bool include_training_labels) const {
   // Payload first; the header needs its size and checksum.
   std::vector<std::uint8_t> payload;
   put_str(payload, method_);
-  for (const int m : cardinalities_) put_i32(payload, m);
-  for (const core::ClusterProfile& profile : profiles_) {
-    put_i32(payload, profile.size());
+  for (const int m : cardinalities()) put_i32(payload, m);
+  for (int l = 0; l < k(); ++l) {
+    put_i32(payload, static_cast<std::int32_t>(bank_.size(l)));
   }
-  for (const core::ClusterProfile& profile : profiles_) {
-    for (const auto& feature_counts : profile.counts()) {
-      for (const int c : feature_counts) put_i32(payload, c);
+  for (int l = 0; l < k(); ++l) {
+    for (std::size_t r = 0; r < d; ++r) {
+      for (data::Value v = 0; v < cardinalities()[r]; ++v) {
+        put_i32(payload, static_cast<std::int32_t>(bank_.count(l, r, v)));
+      }
     }
   }
   const std::uint64_t n =
@@ -179,7 +193,7 @@ std::vector<std::uint8_t> Model::to_binary(bool include_training_labels) const {
   put_u32(out, static_cast<std::uint32_t>(kArtifactHeaderBytes));
   put_u64(out, payload.size());
   put_u32(out, artifact_crc32(payload.data(), payload.size()));
-  put_u32(out, static_cast<std::uint32_t>(k_));
+  put_u32(out, static_cast<std::uint32_t>(k()));
   put_u64(out, d);
   put_u64(out, n);
   put_u64(out, dictionaries ? kFlagDictionaries : 0);
@@ -236,16 +250,26 @@ Model Model::from_binary(const std::uint8_t* data, std::size_t size) {
     throw ArtifactError(buf);
   }
 
+  // Every section's element count is bounded by the bytes left before
+  // anything is reserved or allocated, so a forged count fails closed with
+  // a typed error instead of a huge allocation.
   Reader body(payload, static_cast<std::size_t>(payload_bytes));
   Model model;
   model.method_ = body.str("method name");
-  model.k_ = static_cast<int>(k);
-  model.cardinalities_.reserve(static_cast<std::size_t>(d));
+  body.bound(d, 4, "cardinalities");
+  std::vector<int> cardinalities;
+  cardinalities.reserve(static_cast<std::size_t>(d));
+  // Sum of cardinalities, saturated at the payload size: no section sized
+  // by it can fit past that, and the sum cannot wrap before the bounds
+  // below reject it.
+  std::uint64_t cells = 0;
   for (std::uint64_t r = 0; r < d; ++r) {
     const std::int32_t m = body.i32("cardinality");
     if (m < 0) throw ArtifactError("negative cardinality");
-    model.cardinalities_.push_back(m);
+    cardinalities.push_back(m);
+    cells = std::min(cells + static_cast<std::uint64_t>(m), payload_bytes);
   }
+  body.bound(k, 4, "cluster sizes");
   std::vector<int> sizes;
   sizes.reserve(k);
   for (std::uint32_t l = 0; l < k; ++l) {
@@ -253,41 +277,43 @@ Model Model::from_binary(const std::uint8_t* data, std::size_t size) {
     if (s < 0) throw ArtifactError("negative cluster size");
     sizes.push_back(s);
   }
-  model.profiles_.reserve(k);
-  for (std::uint32_t l = 0; l < k; ++l) {
-    std::vector<std::vector<int>> counts(static_cast<std::size_t>(d));
-    for (std::uint64_t r = 0; r < d; ++r) {
-      const auto m =
-          static_cast<std::size_t>(model.cardinalities_[static_cast<std::size_t>(r)]);
-      counts[static_cast<std::size_t>(r)].reserve(m);
-      for (std::size_t v = 0; v < m; ++v) {
-        const std::int32_t c = body.i32("histogram count");
-        if (c < 0) throw ArtifactError("negative histogram count");
-        counts[static_cast<std::size_t>(r)].push_back(c);
-      }
-    }
-    model.profiles_.push_back(core::ClusterProfile::from_counts(
-        std::move(counts), sizes[l]));
+  // The k x sum(m_r) bank: bounded per cluster so the product cannot wrap.
+  if (k > 0) {
+    body.bound(cells, 4 * static_cast<std::uint64_t>(k), "histogram bank");
   }
+  std::vector<int> counts;
+  counts.reserve(static_cast<std::size_t>(k * cells));
+  for (std::uint64_t c = 0; c < k * cells; ++c) {
+    const std::int32_t count = body.i32("histogram count");
+    if (count < 0) throw ArtifactError("negative histogram count");
+    counts.push_back(count);
+  }
+  model.bank_ = core::ProfileSet::from_counts(cardinalities, sizes, counts);
+  model.bank_.freeze();
+  body.bound(n, 4, "training labels");
   model.training_labels_.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     model.training_labels_.push_back(body.i32("training label"));
   }
   const std::uint32_t kappa_count = body.u32("kappa count");
+  body.bound(kappa_count, 4, "kappa staircase");
   model.kappa_.reserve(kappa_count);
   for (std::uint32_t j = 0; j < kappa_count; ++j) {
     model.kappa_.push_back(body.i32("kappa"));
   }
   const std::uint32_t theta_count = body.u32("theta count");
+  body.bound(theta_count, 8, "theta weights");
   model.theta_.reserve(theta_count);
   for (std::uint32_t j = 0; j < theta_count; ++j) {
     model.theta_.push_back(body.f64("theta"));
   }
   if ((flags & kFlagDictionaries) != 0) {
+    // Every entry carries at least its 4-byte length prefix.
+    body.bound(cells, 4, "dictionaries");
     model.values_.resize(static_cast<std::size_t>(d));
     for (std::uint64_t r = 0; r < d; ++r) {
-      const auto m =
-          static_cast<std::size_t>(model.cardinalities_[static_cast<std::size_t>(r)]);
+      const auto m = static_cast<std::size_t>(
+          cardinalities[static_cast<std::size_t>(r)]);
       model.values_[static_cast<std::size_t>(r)].reserve(m);
       for (std::size_t v = 0; v < m; ++v) {
         model.values_[static_cast<std::size_t>(r)].push_back(
@@ -299,7 +325,6 @@ Model Model::from_binary(const std::uint8_t* data, std::size_t size) {
     throw ArtifactError(std::to_string(body.remaining()) +
                         " trailing bytes after the last section");
   }
-  model.rebuild_scorer();
   return model;
 }
 

@@ -11,7 +11,7 @@
 //   12     4     u32 header bytes (kArtifactHeaderBytes; fixed)
 //   16     8     u64 payload bytes (file size minus the header)
 //   24     4     u32 CRC-32 (IEEE 802.3) over the payload
-//   28     4     u32 k (clusters; > 0)
+//   28     4     u32 k (clusters; 0 for an empty online snapshot)
 //   32     8     u64 d (features; > 0)
 //   40     8     u64 n (training labels; 0 when stripped)
 //   48     8     u64 flags (bit 0: value dictionaries present)

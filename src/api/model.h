@@ -1,11 +1,13 @@
 // Fitted clustering model — the reusable artefact of Engine::fit.
 //
 // Fitting any registered method produces a Model holding the per-cluster
-// value histograms of the final partition (on the original feature space),
-// plus, for the MCDC family, the multi-granular evidence (kappa staircase,
-// CAME granularity weights theta). The histograms are exactly the
-// sufficient statistic of the paper's Sec. II-A object-cluster similarity,
-// so the model can score objects that were never part of the fit:
+// value histograms of the final partition (on the original feature space)
+// in one frozen core::ProfileSet bank — the same bank is scored, exported
+// by the online learners and serialised — plus, for the MCDC family, the
+// multi-granular evidence (kappa staircase, CAME granularity weights
+// theta). The histograms are exactly the sufficient statistic of the
+// paper's Sec. II-A object-cluster similarity, so the model can score
+// objects that were never part of the fit:
 // Model::predict assigns rows to the most similar cluster with the same
 // NULL-aware Eq. (1)-(2) measure the streaming learner's classify() uses.
 //
@@ -21,7 +23,6 @@
 
 #include "api/json.h"
 #include "core/profile_set.h"
-#include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -48,28 +49,31 @@ class Model {
                         std::vector<int> kappa = {},
                         std::vector<double> theta = {}, bool refine = true);
 
-  // Builds a model directly from per-cluster histogram profiles — the
-  // snapshot boundary the online learners export through
-  // (StreamingMgcpl::to_model, RgclLearner::to_model). `profiles` may be
-  // empty: the result is a valid k = 0 model with a schema, which predicts
-  // -1 for every row (the classify() contract of an empty learner) and
-  // still round-trips through JSON and the binary artifact — a serving
-  // tier can hold it without wedging. `values` carries the per-feature
-  // dictionaries when the producer has them; empty means raw codes pass
-  // through on predict(ds). Throws std::invalid_argument on an empty
-  // schema or a profile whose shape disagrees with `cardinalities`.
-  static Model from_profiles(std::string method, std::vector<int> cardinalities,
-                             std::vector<core::ClusterProfile> profiles,
-                             std::vector<std::vector<std::string>> values = {});
+  // Builds a model directly from a histogram bank — the snapshot boundary
+  // the online learners export through (StreamingMgcpl::to_model,
+  // RgclLearner::to_model, which pass ProfileSet::truncated snapshots).
+  // The bank carries the schema; its counts should be integral, since JSON
+  // and the binary artifact store them as ints. A bank with no clusters
+  // is a valid k = 0 model with a schema, which predicts -1 for every row
+  // (the classify() contract of an empty learner) and still round-trips
+  // through JSON and the binary artifact — a serving tier can hold it
+  // without wedging. `values` carries the per-feature dictionaries when
+  // the producer has them; empty means raw codes pass through on
+  // predict(ds). Throws std::invalid_argument on an empty schema or a
+  // dictionary count that disagrees with it.
+  static Model from_bank(std::string method, core::ProfileSet bank,
+                         std::vector<std::vector<std::string>> values = {});
 
-  bool fitted() const { return k_ > 0; }
+  bool fitted() const { return k() > 0; }
   // True once the model carries a schema — every fitted model does, and so
   // does a k = 0 online snapshot (which is servable but answers -1).
-  bool has_schema() const { return !cardinalities_.empty(); }
-  int k() const { return k_; }
+  bool has_schema() const { return num_features() > 0; }
+  int k() const { return bank_.num_clusters(); }
   const std::string& method() const { return method_; }
-  std::size_t num_features() const { return cardinalities_.size(); }
-  const std::vector<int>& cardinalities() const { return cardinalities_; }
+  std::size_t num_features() const { return bank_.num_features(); }
+  const std::vector<int>& cardinalities() const {
+    return bank_.cardinalities();
+  }
   // Per-feature value dictionaries in model code order; empty when the
   // model was built from raw codes (e.g. an online snapshot without a
   // source dataset). Online learners thread these through to_model() so a
@@ -110,25 +114,6 @@ class Model {
   // drains coalesced requests through it).
   void predict_rows(const data::Value* rows, std::size_t n, int* out) const;
 
-  // Opt-in compact scoring bank: narrows the frozen quotient cache to
-  // float32 (half the working set of the batch sweep), adopting it ONLY
-  // if every row of `ds` — which must be in the model's own encoding,
-  // e.g. the training view or an online window — gets the same label from
-  // both banks. Returns whether the compact bank was adopted; on false
-  // (including an empty `ds`, which proves nothing) the bit-exact f64
-  // bank stays. After adoption, predict labels on rows beyond `ds` may in
-  // principle differ at f32 rounding, and predict_score may differ in
-  // low-order bits — callers that need the byte-identity contract leave
-  // this off (it is opt-in per fit: FitOptions/OnlineConfig
-  // compact_scorer). Rebuilding the scorer (refit, JSON/binary load)
-  // drops the compact bank until revalidated.
-  bool try_compact_scorer(const data::DatasetView& ds);
-  // The same gate over n contiguous row-major rows in the model's
-  // encoding — the OnlineUpdater validates against its drift window.
-  bool try_compact_scorer(const data::Value* rows, std::size_t n);
-  // True while the compact float32 bank is active.
-  bool compact_scorer() const;
-
   // Vectorised predict over a whole dataset. Because datasets are
   // dictionary-encoded per source in first-seen order, codes of an
   // independently loaded dataset are re-mapped into the model's encoding
@@ -146,12 +131,12 @@ class Model {
   std::vector<std::vector<data::Value>> encoding_map(
       const data::DatasetView& ds) const;
 
-  // The flat scoring bank — every cluster's per-feature value histograms
-  // in ProfileSet layout. Read-only; the serving drift detectors pool its
-  // per-feature marginals (ProfileSet::marginal_distribution) to compare
-  // live traffic against what the model was trained on. Empty (k = 0)
-  // until the model is fitted.
-  const core::ProfileSet& profile_bank() const { return scorer_; }
+  // The frozen histogram bank — every cluster's per-feature value
+  // histograms in ProfileSet layout. Read-only; the serving drift
+  // detectors pool its per-feature marginals
+  // (ProfileSet::marginal_distribution) to compare live traffic against
+  // what the model was trained on. Empty (k = 0) until the model is fitted.
+  const core::ProfileSet& profile_bank() const { return bank_; }
 
   // Mode (most frequent value per feature, ties to the smallest code) and
   // training mass of cluster l — the locality router's view of a cluster
@@ -181,21 +166,16 @@ class Model {
   static Model load_binary(const std::string& path);
 
  private:
-  // Rebuilds the flat frozen scorer_ from profiles_ (after fit / JSON load).
-  void rebuild_scorer();
-
   std::string method_;
-  int k_ = 0;
-  std::vector<int> cardinalities_;
   // Per-feature value dictionaries in model code order, captured from the
   // training dataset so predict() can re-encode foreign datasets.
   std::vector<std::vector<std::string>> values_;
   std::vector<int> training_labels_;
-  std::vector<core::ClusterProfile> profiles_;  // one per cluster (serialised)
-  // The same histograms as one flat frozen bank — the scoring hot path
-  // (see profile_set.h); predict batch-scores all k clusters per row and
-  // fans rows out over the shared thread pool.
-  core::ProfileSet scorer_;
+  // The per-cluster histograms, frozen at construction: the schema (k,
+  // cardinalities), the scoring hot path (see profile_set.h; predict
+  // batch-scores all k clusters per row and fans rows out over the shared
+  // thread pool) and the serialised payload.
+  core::ProfileSet bank_;
   std::vector<int> kappa_;
   std::vector<double> theta_;
 };

@@ -5,13 +5,13 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/similarity.h"
+#include "core/profile_set.h"
 
 namespace mcdc::baselines {
 
 namespace {
 
-using core::ClusterProfile;
+using core::ProfileSet;
 using data::Dataset;
 using data::Value;
 
@@ -67,25 +67,25 @@ std::vector<std::size_t> stable_seeds(const data::DatasetView& ds, int k) {
   return seeds;
 }
 
-// Subspace weights of one cluster: concentration (1 - normalised entropy)
+// Subspace weights of cluster l: concentration (1 - normalised entropy)
 // per attribute, normalised to sum 1.
-std::vector<double> subspace_weights(const ClusterProfile& profile,
+std::vector<double> subspace_weights(const ProfileSet& profiles, int l,
                                      const data::DatasetView& ds) {
   const std::size_t d = ds.num_features();
   std::vector<double> w(d, 0.0);
   double total = 0.0;
   for (std::size_t r = 0; r < d; ++r) {
     const int m_r = ds.cardinality(r);
-    const int denom = profile.non_null_count(r);
-    if (m_r <= 1 || denom == 0) {
+    const double denom = profiles.non_null(l, r);
+    if (m_r <= 1 || denom == 0.0) {
       w[r] = 0.0;  // a single-valued attribute separates nothing
       continue;
     }
     double h = 0.0;
     for (int v = 0; v < m_r; ++v) {
-      const int c = profile.value_count(r, v);
-      if (c == 0) continue;
-      const double p = static_cast<double>(c) / denom;
+      const double c = profiles.count(l, r, v);
+      if (c == 0.0) continue;
+      const double p = c / denom;
       h -= p * std::log(p);
     }
     w[r] = 1.0 - h / std::log(static_cast<double>(m_r));
@@ -96,6 +96,17 @@ std::vector<double> subspace_weights(const ClusterProfile& profile,
   }
   for (double& x : w) x /= total;
   return w;
+}
+
+// Eq. (14) of cluster l: sum_r w_rl * s(x_ir, C_l), in ascending r.
+double weighted_similarity(const ProfileSet& profiles, int l,
+                           const data::DatasetView& ds, std::size_t i,
+                           const std::vector<double>& weights) {
+  double sum = 0.0;
+  for (std::size_t r = 0; r < weights.size(); ++r) {
+    sum += weights[r] * profiles.value_similarity(l, r, ds.at(i, r));
+  }
+  return sum;
 }
 
 }  // namespace
@@ -109,11 +120,10 @@ ClusterResult Wocil::cluster(const data::DatasetView& ds, int k,
   }
 
   std::vector<int> labels(n, -1);
-  std::vector<ClusterProfile> profiles(
-      static_cast<std::size_t>(k), ClusterProfile(ds.cardinalities()));
+  ProfileSet profiles(ds.cardinalities(), k);
   const auto seeds = stable_seeds(ds, k);
   for (std::size_t l = 0; l < seeds.size(); ++l) {
-    profiles[l].add(ds, seeds[l]);
+    profiles.add(static_cast<int>(l), ds, seeds[l]);
     labels[seeds[l]] = static_cast<int>(l);
   }
   std::vector<std::vector<double>> weights(
@@ -126,25 +136,22 @@ ClusterResult Wocil::cluster(const data::DatasetView& ds, int k,
       int best = 0;
       double best_sim = -std::numeric_limits<double>::infinity();
       for (int l = 0; l < k; ++l) {
-        const auto lu = static_cast<std::size_t>(l);
-        const double s = profiles[lu].weighted_similarity(ds, i, weights[lu]);
+        const double s = weighted_similarity(
+            profiles, l, ds, i, weights[static_cast<std::size_t>(l)]);
         if (s > best_sim) {
           best_sim = s;
           best = l;
         }
       }
       if (labels[i] != best) {
-        if (labels[i] >= 0) {
-          profiles[static_cast<std::size_t>(labels[i])].remove(ds, i);
-        }
-        profiles[static_cast<std::size_t>(best)].add(ds, i);
+        if (labels[i] >= 0) profiles.remove(labels[i], ds, i);
+        profiles.add(best, ds, i);
         labels[i] = best;
         changed = true;
       }
     }
     for (int l = 0; l < k; ++l) {
-      const auto lu = static_cast<std::size_t>(l);
-      weights[lu] = subspace_weights(profiles[lu], ds);
+      weights[static_cast<std::size_t>(l)] = subspace_weights(profiles, l, ds);
     }
     if (!changed) break;
   }

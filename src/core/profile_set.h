@@ -1,9 +1,17 @@
-// ProfileSet — flat Structure-of-Arrays histogram bank for k clusters.
+// ProfileSet — flat Structure-of-Arrays histogram bank for k clusters: the
+// library's one store of the per-cluster value histograms that the
+// object-cluster similarity of the paper's Sec. II-A is defined on,
 //
-// ClusterProfile (similarity.h) stores one cluster's histograms as nested
-// vector<vector<int>>, so scoring one object against k clusters walks k
-// separately allocated structures — k*d dependent pointer chases. ProfileSet
-// holds *all* k clusters' per-feature value counts in one contiguous buffer,
+//   s(x_ir, C_l) = Psi_{Fr = x_ir}(C_l) / Psi_{Fr != NULL}(C_l)     (Eq. 2)
+//   s(x_i,  C_l) = (1/d) * sum_r s(x_ir, C_l)                       (Eq. 1)
+//   s_w(x_i, C_l) = sum_r w_rl * s(x_ir, C_l),   sum_r w_rl = 1     (Eq. 14)
+//
+// (Eq. (14)'s extra global 1/d factor is folded out so that uniform weights
+// recover Eq. (1) exactly. Missing values contribute similarity zero and are
+// excluded from the NULL-aware denominator.) Learners, fitted models and
+// their serialised forms all hold exactly this bank.
+//
+// Every cluster's per-feature value counts live in one contiguous buffer,
 // laid out value-major with a slot stride that can exceed k (spare slots are
 // kept zero so append_cluster is amortised O(1) slots instead of a restride
 // per spawn):
@@ -17,12 +25,12 @@
 // layout the hardware wants.
 //
 // Numerics contract: counts are doubles so the decayed (fractional)
-// streaming histograms share the kernel; batch consumers only ever store
-// integral values, for which every quotient count/non_null is bit-identical
-// to ClusterProfile's int arithmetic. score_all accumulates per-feature
-// contributions in ascending feature order — the same order as
-// ClusterProfile::similarity — so batched scores (and therefore argmax
-// labels) are byte-identical to the per-cluster path, not merely close.
+// streaming histograms share the kernel; batch consumers and serialised
+// models only ever store integral values, for which every quotient
+// count/non_null is bit-identical to int arithmetic. score_all accumulates
+// per-feature contributions in ascending feature order — the same order as
+// score_one — so batched scores (and therefore argmax labels) are
+// byte-identical to a per-cluster Eq. (1) walk, not merely close.
 //
 // freeze() additionally precomputes every count/non_null quotient once, so
 // frozen batched sweeps (Model::predict, refine_to_fixpoint, streaming
@@ -40,7 +48,6 @@
 #include <vector>
 
 #include "core/aligned.h"
-#include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -53,17 +60,29 @@ class ProfileSet {
   ProfileSet(const std::vector<int>& cardinalities, int k);
 
   // One histogram bank from an assignment vector (-1 entries skipped,
-  // ids must lie in [0, k)). The flat analogue of build_profiles().
-  // Accumulates feature-major: one stride-1 sweep over each dataset
-  // column writes only that feature's cell block of the bank — the
-  // columnar fast path (identity views read Dataset::col pointers
+  // ids must lie in [0, k)). Accumulates feature-major: one stride-1
+  // sweep over each dataset column writes only that feature's cell block
+  // of the bank — the columnar fast path (identity views read Dataset::col pointers
   // directly). Counts are order-independent integral sums, so the bank is
   // bit-identical to row-wise add() accumulation.
   static ProfileSet from_assignment(const data::DatasetView& ds,
                                     const std::vector<int>& assignment, int k);
-  // Converts per-cluster profiles (e.g. a deserialised api::Model) into the
-  // flat layout. All profiles must share one schema.
-  static ProfileSet from_profiles(const std::vector<ClusterProfile>& profiles);
+  // A bank of sizes.size() clusters from serialised histograms: `counts`
+  // holds count(l, r, v) cluster-major (l, then r, then v < cardinality(r)),
+  // sizes.size() * sum m_r entries. Non-null totals are re-derived as the
+  // per-feature sums of the stored counts, accumulated in double (exact,
+  // and equal to the int sum whenever that does not overflow). The loaders
+  // (JSON, binary artifact) validate before calling: counts and sizes must
+  // be non-negative. Throws std::invalid_argument on a shape mismatch.
+  static ProfileSet from_counts(const std::vector<int>& cardinalities,
+                                const std::vector<int>& sizes,
+                                const std::vector<int>& counts);
+  // The snapshot of the clusters in `slots`, in that order, with every
+  // count and size truncated toward zero and the non-null totals re-derived
+  // from the truncated counts — what an online learner's decayed
+  // (fractional) histograms export as (StreamingMgcpl::to_model,
+  // RgclLearner::to_model). Integral banks copy through unchanged.
+  ProfileSet truncated(const std::vector<std::size_t>& slots) const;
 
   int num_clusters() const { return k_; }
   std::size_t num_features() const { return cardinalities_.size(); }
@@ -113,14 +132,12 @@ class ProfileSet {
   // Batched Eq. (1): out[l] = s(row, C_l) for every cluster, one
   // feature-major sweep. `out` must hold num_clusters() doubles.
   void score_all(const data::Value* row, double* out) const;
-  // Eq. (1) against a single cluster (the streaming rival-penalty path).
-  double score_one(int l, const data::Value* row) const;
-
-  // View-position overloads of the batched/single scorers: identical
-  // arithmetic in identical (ascending-feature) order, reading cells
-  // straight out of the columnar bank instead of a gathered row.
+  // The view-position overload: identical arithmetic in identical
+  // (ascending-feature) order, reading cells straight out of the columnar
+  // bank instead of a gathered row.
   void score_all(const data::DatasetView& ds, std::size_t i,
                  double* out) const;
+  // Eq. (1) of view row i against cluster l alone (anomaly eccentricity).
   double score_one(int l, const data::DatasetView& ds, std::size_t i) const;
 
   // Weighted-quotient bank of a live Eq. (14) sweep (the competitive
@@ -128,7 +145,8 @@ class ProfileSet {
   //   non_null(l, r) > 0 ? w_rl * (count / non_null) : 0.0,
   // with w_rl = weights[l][r]. A row's Eq. (14) score is then the plain
   // sum of its present cells in ascending r (simd::score_row_f64 with
-  // denominator 1), bit-identical to ClusterProfile::weighted_similarity.
+  // denominator 1), bit-identical to a per-cluster walk
+  // sum_r weights[l][r] * value_similarity(l, r, x_ir).
   // The fill sizes `bank` and computes every cell. The refresh recomputes
   // cluster l's column over the features `cells` (a row_cells() result;
   // nullptr = every feature) marks present, every value of each: after
@@ -181,26 +199,9 @@ class ProfileSet {
   void freeze() const;
   bool frozen() const { return frozen_; }
 
-  // Opt-in compact frozen bank: narrows the frozen quotients to float32
-  // and drops the float64 cache, halving the sweep's working set. Scores
-  // still accumulate in double (each f32 widened exactly), but the
-  // narrowing itself rounds, so scores — and potentially labels — may
-  // differ from the f64 bank. Consumers must prove label-identity on
-  // their own data before adopting it (api::Model::try_compact_scorer);
-  // thaw_compact() deterministically rebuilds the f64 cache from the
-  // counts. Same single-writer contract as freeze(); any mutation thaws
-  // both banks.
-  void freeze_compact() const;
-  void thaw_compact() const;
-  bool compact_frozen() const { return frozen_ && !probs_f32_.empty(); }
-
   // Most frequent value of cluster l per feature (ties -> smallest code;
-  // data::kMissing for an all-NULL column), as ClusterProfile::mode().
+  // data::kMissing for an all-NULL column) — the cluster's mode.
   std::vector<data::Value> mode(int l) const;
-
-  // Materialises cluster l as a ClusterProfile (counts truncated to int) —
-  // for consumers that serialise or keep the nested representation.
-  ClusterProfile profile(int l) const;
 
   // Pooled per-feature value distribution across every cluster:
   // out[v] = sum_l count(l, r, v) / sum_l non_null(l, r) for v in
@@ -222,7 +223,6 @@ class ProfileSet {
   void thaw() {
     frozen_ = false;
     probs_.clear();
-    probs_f32_.clear();
   }
   // One cache-blocked tile of the batched argmax: cells[t * d + r] is the
   // bank offset of row t's (r, v) cell block (kNoCell when missing/out of
@@ -243,13 +243,10 @@ class ProfileSet {
   AlignedVec<double> counts_;         // [cell * stride + l]
   AlignedVec<double> non_null_;       // [r * stride + l]
   AlignedVec<double> size_;           // [l], length stride_
-  // Lazily built frozen-quotient caches (counts_ layout): probs_ is the
-  // bit-exact float64 bank; probs_f32_ is the opt-in compact bank, present
-  // only between freeze_compact() and thaw_compact(), during which probs_
-  // is dropped. Mutable for the logically-const lazy freeze — see
-  // freeze() for the single-writer contract.
+  // Lazily built frozen-quotient cache (counts_ layout). Mutable for the
+  // logically-const lazy freeze — see freeze() for the single-writer
+  // contract.
   mutable AlignedVec<double> probs_;
-  mutable AlignedVec<float> probs_f32_;
   mutable bool frozen_ = false;
 };
 

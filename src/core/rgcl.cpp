@@ -209,13 +209,8 @@ api::Model RgclLearner::to_model(
   for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return ids_[a] < ids_[b]; });
-  std::vector<ClusterProfile> profiles;
-  profiles.reserve(order.size());
-  for (const std::size_t slot : order) {
-    profiles.push_back(set_.profile(static_cast<int>(slot)));
-  }
-  return api::Model::from_profiles("mcdc-online", cardinalities_,
-                                   std::move(profiles), std::move(values));
+  return api::Model::from_bank("mcdc-online", set_.truncated(order),
+                               std::move(values));
 }
 
 void RgclLearner::reset() {

@@ -172,13 +172,8 @@ api::Model StreamingMgcpl::to_model(
   for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return ids_[a] < ids_[b]; });
-  std::vector<ClusterProfile> profiles;
-  profiles.reserve(order.size());
-  for (const std::size_t slot : order) {
-    profiles.push_back(set_.profile(static_cast<int>(slot)));
-  }
-  return api::Model::from_profiles("streaming-mgcpl", cardinalities_,
-                                   std::move(profiles), std::move(values));
+  return api::Model::from_bank("streaming-mgcpl", set_.truncated(order),
+                               std::move(values));
 }
 
 double StreamingMgcpl::total_mass() const {

@@ -83,9 +83,10 @@ class StreamingMgcpl {
   // cluster j is the j-th smallest live stable id, so two exports over the
   // same live set agree on dense labels regardless of slot churn, and the
   // export's predict matches classify() up to that id -> dense remap.
-  // Decayed fractional histograms are truncated to integer counts (the
-  // serialisable ClusterProfile representation); with the default decay of
-  // 1.0 nothing is lost. An empty learner exports a valid k = 0 model
+  // Decayed fractional histograms are truncated toward zero to integer
+  // counts and sizes, with non-null totals re-derived from the truncated
+  // counts (ProfileSet::truncated) — the integral bank JSON and the binary
+  // artifact store; with the default decay of 1.0 nothing is lost. An empty learner exports a valid k = 0 model
   // (predict -> -1, classify()'s empty contract) that still round-trips
   // through JSON and the binary artifact. `values` optionally carries the
   // per-feature dictionaries of the stream's source dataset so the

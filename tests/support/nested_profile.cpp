@@ -1,4 +1,4 @@
-#include "core/similarity.h"
+#include "support/nested_profile.h"
 
 #include <cassert>
 #include <stdexcept>

@@ -1,4 +1,11 @@
-// Object-cluster similarity for categorical data (paper Sec. II-A).
+// Nested per-cluster histogram reference for the tests and bench_kernel.
+//
+// The library keeps one histogram store, core::ProfileSet. This is the
+// straightforward per-cluster form it replaced, kept outside the library
+// as the independent reference the flat bank is checked against bitwise
+// (test_profile_set, test_similarity) and timed against (bench_kernel's
+// frozen_vs_nested ratios). It stays a separate translation unit, so the
+// bench measures the same out-of-line scorer it always has.
 //
 // ClusterProfile maintains, per cluster, the per-feature value-frequency
 // histograms that the similarity s(x_i, C_l) of Eq. (1)-(2) is defined on:
@@ -20,12 +27,10 @@
 // O(d) similarity evaluation the paper's linear-complexity analysis
 // (Theorem 1) relies on.
 //
-// NOTE for hot-path consumers: scoring one object against *many* clusters
-// with a vector<ClusterProfile> is cache-hostile (k nested-vector walks per
-// object). Use core::ProfileSet (profile_set.h) instead — it holds all k
-// histograms in one flat bank and batch-scores every cluster in a single
-// feature-major sweep with byte-identical results. ClusterProfile remains
-// the right type for single-cluster consumers and serialisation.
+// Scoring one object against *many* clusters with a vector<ClusterProfile>
+// is cache-hostile (k nested-vector walks per object); core::ProfileSet
+// holds all k histograms in one flat bank and batch-scores every cluster in
+// a single feature-major sweep with byte-identical results.
 #pragma once
 
 #include <cstddef>
@@ -82,9 +87,9 @@ class ClusterProfile {
 
   const std::vector<std::vector<int>>& counts() const { return counts_; }
 
-  // Restores a profile from serialised per-feature value counts (the
-  // inverse of counts(), used by api::Model::from_json). Per-feature
-  // non-null totals are re-derived; `size` is the member count.
+  // Restores a profile from per-feature value counts (the inverse of
+  // counts()). Per-feature non-null totals are re-derived; `size` is the
+  // member count.
   static ClusterProfile from_counts(std::vector<std::vector<int>> counts,
                                     int size);
 

@@ -209,13 +209,34 @@ TEST(AdversarialReplay, RecoveredTraceDrivesTheOnlineLoop) {
 
 // --- Model hot-reload boundary -----------------------------------------
 
-TEST(AdversarialModelJson, StructurallyInvalidModelsAreRejected) {
-  for (const char* name :
-       {"json_model_missing_cluster.json", "json_model_counts_mismatch.json",
-        "json_model_size_not_int.json"}) {
-    SCOPED_TRACE(name);
-    const api::Json doc = api::Json::parse(slurp(name));  // valid JSON...
-    EXPECT_THROW(api::Model::from_json(doc), std::runtime_error);  // ...bad model
+// Every document is valid JSON. The invalid models are rejected with the
+// documented std::runtime_error — including what the binary loader would
+// refuse to read back (negative counts, sizes, cardinalities, and a value
+// dictionary wider than its feature's cardinality). The count overflow
+// model is hostile but legal: its counts sum past INT_MAX, so the loader
+// must derive non-null totals without signed overflow (UBSan) and keep
+// scores similarities.
+TEST(AdversarialModelJson, HostileModelsAreRejectedOrLoadSafely) {
+  struct Case {
+    const char* name;
+    bool rejected;
+  };
+  for (const Case& c : {Case{"json_model_missing_cluster.json", true},
+                        Case{"json_model_counts_mismatch.json", true},
+                        Case{"json_model_size_not_int.json", true},
+                        Case{"json_model_negative_count.json", true},
+                        Case{"json_model_negative_size.json", true},
+                        Case{"json_model_negative_cardinality.json", true},
+                        Case{"json_model_values_width_mismatch.json", true},
+                        Case{"json_model_count_overflow.json", false}}) {
+    SCOPED_TRACE(c.name);
+    const api::Json doc = api::Json::parse(slurp(c.name));
+    if (c.rejected) {
+      EXPECT_THROW(api::Model::from_json(doc), std::runtime_error);
+      continue;
+    }
+    const data::Value row[] = {0};
+    EXPECT_DOUBLE_EQ(api::Model::from_json(doc).predict_score(row), 0.5);
   }
 }
 
@@ -243,7 +264,8 @@ TEST(AdversarialArtifact, PristineTinyArtifactLoads) {
 TEST(AdversarialArtifact, CorruptArtifactsAreRejectedWithTypedErrors) {
   for (const char* name :
        {"bin_wrong_magic.bin", "bin_wrong_version.bin", "bin_truncated.bin",
-        "bin_bit_flip.bin"}) {
+        "bin_bit_flip.bin", "bin_huge_cardinality.bin",
+        "bin_huge_bank.bin"}) {
     SCOPED_TRACE(name);
     EXPECT_THROW(api::Model::load_binary(corpus_path(name)),
                  api::ArtifactError);
@@ -254,6 +276,52 @@ TEST(AdversarialArtifact, CorruptArtifactsAreRejectedWithTypedErrors) {
             reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()),
         api::ArtifactError);
   }
+}
+
+// The binary twin of json_model_count_overflow.json, forged in memory: one
+// feature of cardinality 2, one cluster of size 1 whose two counts are both
+// INT_MAX. It is byte for byte what the JSON model serialises to, and it
+// must load (the same non-null derivation, without signed overflow under
+// UBSan) and score like the JSON model.
+TEST(AdversarialArtifact, CountsSummingPastIntMaxLoad) {
+  std::vector<std::uint8_t> payload;
+  const auto put_u32 = [](std::vector<std::uint8_t>& out, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  const auto put_u64 = [&](std::vector<std::uint8_t>& out, std::uint64_t v) {
+    put_u32(out, static_cast<std::uint32_t>(v));
+    put_u32(out, static_cast<std::uint32_t>(v >> 32));
+  };
+  put_u32(payload, 1);  // method name "m"
+  payload.push_back('m');
+  put_u32(payload, 2);           // cardinality
+  put_u32(payload, 1);           // cluster size
+  put_u32(payload, 0x7FFFFFFF);  // count(0, 0, 0)
+  put_u32(payload, 0x7FFFFFFF);  // count(0, 0, 1)
+  put_u32(payload, 0);           // kappa count
+  put_u32(payload, 0);           // theta count
+  std::vector<std::uint8_t> bytes(api::kArtifactMagic,
+                                  api::kArtifactMagic + 8);
+  put_u32(bytes, api::kArtifactVersion);
+  put_u32(bytes, static_cast<std::uint32_t>(api::kArtifactHeaderBytes));
+  put_u64(bytes, payload.size());
+  put_u32(bytes, api::artifact_crc32(payload.data(), payload.size()));
+  put_u32(bytes, 1);  // k
+  put_u64(bytes, 1);  // d
+  put_u64(bytes, 0);  // n
+  put_u64(bytes, 0);  // flags
+  put_u64(bytes, 0);  // reserved
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+
+  const api::Model via_json = api::Model::from_json(
+      api::Json::parse(slurp("json_model_count_overflow.json")));
+  EXPECT_EQ(via_json.to_binary(), bytes);
+  const api::Model model = api::Model::from_binary(bytes.data(), bytes.size());
+  EXPECT_EQ(model.profile_bank().non_null(0, 0), 2.0 * 0x7FFFFFFF);
+  const data::Value row[] = {0};
+  EXPECT_DOUBLE_EQ(model.predict_score(row), 0.5);
 }
 
 TEST(AdversarialArtifact, ArtifactOfWrongWidthIsRejectedAtTheServer) {

@@ -1,6 +1,8 @@
 // Tests for the continuous-learning serving loop (serve/online.h) and its
 // feeders: StreamingMgcpl::to_model snapshot export (stable-id ordering,
-// JSON + binary round trips, the empty-learner k = 0 contract), the k = 0
+// JSON + binary round trips, the empty-learner k = 0 contract), FNV goldens
+// of the serialised bytes of a fitted model and of decayed and empty
+// learner snapshots (the snapshot truncation rule), the k = 0
 // swap path through ModelServer (must not wedge in-flight batches), the
 // OnlineUpdater drift detector (quiet streams never refit; an injected
 // code-shift refits within a few ticks and the recovered snapshot
@@ -11,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
@@ -159,6 +163,117 @@ TEST(StreamingToModel, EmptyLearnerExportsValidKZeroModel) {
   const api::Model via_binary = api::Model::from_binary(blob.data(), blob.size());
   EXPECT_EQ(via_binary.k(), 0);
   EXPECT_EQ(via_binary.predict_row(rows.data()), -1);
+}
+
+// --- serialised bytes ------------------------------------------------------
+
+std::uint64_t fnv1a_bytes(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t binary_hash(const api::Model& model) {
+  const std::vector<std::uint8_t> bytes = model.to_binary();
+  return fnv1a_bytes(bytes.data(), bytes.size());
+}
+
+std::uint64_t json_hash(const api::Model& model) {
+  const std::string text = model.to_json().dump();
+  return fnv1a_bytes(reinterpret_cast<const std::uint8_t*>(text.data()),
+                     text.size());
+}
+
+// Feeds the fixture through a learner in 100-row chunks, so a decay < 1
+// leaves fractional histograms behind for to_model() to truncate.
+template <class Learner>
+api::Model decayed_snapshot(Learner& learner, const data::Dataset& ds) {
+  const std::vector<data::Value> rows = gather_rows(ds);
+  const std::size_t d = ds.num_features();
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    learner.observe(rows.data() + i * d);
+    if ((i + 1) % 100 == 0) learner.end_chunk();
+  }
+  EXPECT_NE(learner.total_mass(), std::floor(learner.total_mass()))
+      << "the decayed histograms should be fractional";
+  return learner.to_model();
+}
+
+// A snapshot's JSON and binary round trips answer exactly like it: same
+// labels, same predict_score bits, on every fixture row.
+void expect_round_trips_predict_identically(const api::Model& model,
+                                            const data::Dataset& ds) {
+  const std::vector<data::Value> rows = gather_rows(ds);
+  const std::size_t n = ds.num_objects();
+  const std::size_t d = ds.num_features();
+  const std::vector<std::uint8_t> blob = model.to_binary();
+  const api::Model loaded[] = {
+      api::Model::from_json(model.to_json()),
+      api::Model::from_binary(blob.data(), blob.size())};
+  std::vector<int> expected(n);
+  model.predict_rows(rows.data(), n, expected.data());
+  for (const api::Model& copy : loaded) {
+    std::vector<int> got(n);
+    copy.predict_rows(rows.data(), n, got.data());
+    EXPECT_EQ(got, expected);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double a = model.predict_score(rows.data() + i * d);
+      const double b = copy.predict_score(rows.data() + i * d);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "row " << i;
+    }
+  }
+}
+
+// Pins the serialised bytes of a fitted model and of the online learners'
+// snapshots — including the decayed ones, whose to_model() truncates every
+// count and size toward zero and re-derives the non-null totals from the
+// truncated counts. A mismatch means the artifact or JSON writer, or the
+// snapshot truncation rule, moved.
+TEST(SerialisedBytes, GoldensPinModelAndSnapshotEncodings) {
+  const data::Dataset ds = fixture_dataset();
+  api::Engine engine;
+  const api::FitResult fit = fit_fixture(ds, engine);
+  ASSERT_TRUE(fit.ok());
+
+  core::StreamingConfig streaming_config;
+  streaming_config.decay = 0.7;
+  core::StreamingMgcpl streaming(ds.cardinalities(), streaming_config);
+  const api::Model streaming_model = decayed_snapshot(streaming, ds);
+  ASSERT_TRUE(streaming_model.fitted());
+
+  core::RgclConfig rgcl_config;
+  rgcl_config.decay = 0.7;
+  core::RgclLearner rgcl(ds.cardinalities(), 5, rgcl_config);
+  const api::Model rgcl_model = decayed_snapshot(rgcl, ds);
+  ASSERT_TRUE(rgcl_model.fitted());
+
+  const api::Model empty = core::StreamingMgcpl(ds.cardinalities()).to_model();
+
+  struct Golden {
+    const char* name;
+    const api::Model* model;
+    std::uint64_t binary;
+    std::uint64_t json;
+  };
+  const Golden goldens[] = {
+      {"fit", &fit.model, 0x4fc259cd1ed19f2fULL, 0xdc444c71922e02f7ULL},
+      {"streaming decay 0.7", &streaming_model, 0x31b8f74846956d1eULL,
+       0xe86f8b62adde61feULL},
+      {"rgcl decay 0.7", &rgcl_model, 0x49491f31fe3b5bf0ULL,
+       0x67497b2392971b4dULL},
+      {"k = 0", &empty, 0x556a56501e81a98cULL, 0xa2db126b03c0e1b7ULL},
+  };
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(binary_hash(*g.model), g.binary)
+        << g.name << " binary: 0x" << std::hex << binary_hash(*g.model);
+    EXPECT_EQ(json_hash(*g.model), g.json)
+        << g.name << " json: 0x" << std::hex << json_hash(*g.model);
+  }
+  expect_round_trips_predict_identically(streaming_model, ds);
+  expect_round_trips_predict_identically(rgcl_model, ds);
 }
 
 // --- k = 0 swap through ModelServer ---------------------------------------

@@ -1,14 +1,14 @@
 // Tests for the flat ProfileSet scoring kernel (profile_set.h): equivalence
-// with the per-cluster ClusterProfile path on randomised datasets with
-// NULLs, the weighted-quotient bank (its sums against weighted_similarity
-// and its column refresh against a full refill, both bitwise), incremental
-// maintenance, cluster append/remove restriding,
-// out-of-domain clamping, and fixed-seed label goldens across every
-// registered method (the byte-identity contract of the kernel rewire);
-// plus the register-blocked batch argmax vs the per-row scan, the compact
-// float32 bank round trip and its Model-level adoption gate, and the
-// freeze() single-writer contract under concurrent frozen readers (the
-// tsan CI job runs this binary).
+// with the nested per-cluster ClusterProfile reference (tests/support) on
+// randomised datasets with NULLs, the weighted-quotient bank (its sums
+// against weighted_similarity and its column refresh against a full
+// refill, both bitwise), the serialised-counts and truncated-snapshot
+// constructors against the reference's int arithmetic, incremental
+// maintenance, cluster append/remove restriding, out-of-domain clamping,
+// and fixed-seed label goldens across every registered method (the
+// byte-identity contract of the kernel rewire); plus the register-blocked
+// batch argmax vs the per-row scan and the freeze() single-writer contract
+// under concurrent frozen readers (the tsan CI job runs this binary).
 #include "core/profile_set.h"
 
 #include <gtest/gtest.h>
@@ -21,10 +21,10 @@
 
 #include "api/engine.h"
 #include "common/rng.h"
-#include "core/similarity.h"
 #include "core/simd.h"
 #include "data/noise.h"
 #include "data/synthetic.h"
+#include "support/nested_profile.h"
 
 namespace mcdc {
 namespace {
@@ -313,11 +313,93 @@ TEST(ProfileSet, ModeMatchesClusterProfileMode) {
       core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
   for (int l = 0; l < c.k; ++l) {
     EXPECT_EQ(set.mode(l), profiles[static_cast<std::size_t>(l)].mode());
-    // Materialised profiles round-trip the histograms.
-    const core::ClusterProfile materialised = set.profile(l);
-    EXPECT_EQ(materialised.counts(), profiles[static_cast<std::size_t>(l)].counts());
-    EXPECT_EQ(materialised.size(), profiles[static_cast<std::size_t>(l)].size());
   }
+}
+
+// Every count, non-null total and size of two banks, bitwise.
+void expect_same_bank(const core::ProfileSet& a, const core::ProfileSet& b) {
+  ASSERT_EQ(a.num_clusters(), b.num_clusters());
+  ASSERT_EQ(a.cardinalities(), b.cardinalities());
+  for (int l = 0; l < a.num_clusters(); ++l) {
+    EXPECT_TRUE(same_bits(a.size(l), b.size(l))) << "l " << l;
+    for (std::size_t r = 0; r < a.num_features(); ++r) {
+      EXPECT_TRUE(same_bits(a.non_null(l, r), b.non_null(l, r)))
+          << "l " << l << " r " << r;
+      for (data::Value v = 0; v < a.cardinalities()[r]; ++v) {
+        EXPECT_TRUE(same_bits(a.count(l, r, v), b.count(l, r, v)))
+            << "l " << l << " r " << r << " v " << v;
+      }
+    }
+  }
+}
+
+// The loaders' constructor: serialised cluster-major counts (here the
+// nested reference's) rebuild exactly the bank the fit accumulated, with
+// non-null totals re-derived as the reference's int sums.
+TEST(ProfileSet, FromCountsRebuildsTheAccumulatedBank) {
+  const RandomCase c = null_feature_case(52);
+  const auto profiles = core::build_profiles(c.ds, c.labels, c.k);
+  std::vector<int> sizes;
+  std::vector<int> counts;
+  for (const core::ClusterProfile& profile : profiles) {
+    sizes.push_back(profile.size());
+    for (const auto& feature_counts : profile.counts()) {
+      counts.insert(counts.end(), feature_counts.begin(),
+                    feature_counts.end());
+    }
+  }
+  const core::ProfileSet loaded =
+      core::ProfileSet::from_counts(c.ds.cardinalities(), sizes, counts);
+  expect_same_bank(loaded,
+                   core::ProfileSet::from_assignment(c.ds, c.labels, c.k));
+  for (int l = 0; l < c.k; ++l) {
+    for (std::size_t r = 0; r < c.ds.num_features(); ++r) {
+      EXPECT_EQ(loaded.non_null(l, r),
+                profiles[static_cast<std::size_t>(l)].non_null_count(r));
+    }
+  }
+  counts.pop_back();
+  EXPECT_THROW(
+      core::ProfileSet::from_counts(c.ds.cardinalities(), sizes, counts),
+      std::invalid_argument);
+}
+
+// The online learners' snapshot rule: a decayed bank exports its chosen
+// slots in order, each count and size truncated toward zero as an int
+// conversion does, non-null totals re-derived from the truncated counts —
+// exactly ClusterProfile::from_counts over the int-truncated histograms.
+TEST(ProfileSet, TruncatedSnapshotMatchesIntTruncation) {
+  const RandomCase c = random_case(53);
+  core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
+  set.scale(0.7);
+  for (std::size_t i = 0; i < 40; ++i) set.add(c.labels[i], c.ds, i);
+  set.scale(0.7);
+  const std::vector<std::size_t> slots = {3, 0, 4, 1};
+  const core::ProfileSet snapshot = set.truncated(slots);
+  ASSERT_EQ(snapshot.num_clusters(), 4);
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    const int l = static_cast<int>(slots[j]);
+    std::vector<std::vector<int>> counts(c.ds.num_features());
+    for (std::size_t r = 0; r < counts.size(); ++r) {
+      for (data::Value v = 0; v < c.ds.cardinality(r); ++v) {
+        counts[r].push_back(static_cast<int>(set.count(l, r, v)));
+      }
+    }
+    const core::ClusterProfile reference = core::ClusterProfile::from_counts(
+        std::move(counts), static_cast<int>(set.size(l)));
+    const int jl = static_cast<int>(j);
+    EXPECT_EQ(snapshot.size(jl), reference.size());
+    for (std::size_t r = 0; r < c.ds.num_features(); ++r) {
+      EXPECT_EQ(snapshot.non_null(jl, r), reference.non_null_count(r));
+      for (data::Value v = 0; v < c.ds.cardinality(r); ++v) {
+        EXPECT_EQ(snapshot.count(jl, r, v), reference.value_count(r, v));
+      }
+    }
+  }
+  // An integral bank copies through unchanged.
+  const core::ProfileSet integral =
+      core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
+  expect_same_bank(integral.truncated({0, 1, 2, 3, 4}), integral);
 }
 
 TEST(ProfileSet, ScaleAppliesExponentialForgetting) {
@@ -392,52 +474,6 @@ TEST(ProfileSet, BlockedBestClustersMatchPerRowArgmax) {
   }
 }
 
-// Compact-bank semantics: freeze_compact narrows the quotients to f32
-// (batch and per-row paths agree with each other on that bank),
-// thaw_compact rebuilds the bit-exact f64 cache from the counts, and any
-// mutation thaws both banks.
-TEST(ProfileSet, CompactFreezeRoundTripAndThaw) {
-  const RandomCase c = random_case(81, 120, 6, 40);
-  core::ProfileSet set =
-      core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
-  const std::size_t n = c.ds.num_objects();
-
-  set.freeze();
-  ASSERT_TRUE(set.frozen());
-  EXPECT_FALSE(set.compact_frozen());
-  std::vector<int> f64_labels(n);
-  set.best_clusters(c.ds, 0, n, f64_labels.data());
-
-  set.freeze_compact();
-  EXPECT_TRUE(set.frozen());
-  EXPECT_TRUE(set.compact_frozen());
-  std::vector<int> f32_labels(n);
-  set.best_clusters(c.ds, 0, n, f32_labels.data());
-  // The compact bank is not bit-contracted against f64, but the batch and
-  // per-row paths must agree with each other on it.
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(f32_labels[i], set.best_cluster(c.ds, i, scratch)) << i;
-  }
-  // Idempotent: a second freeze_compact is a no-op.
-  set.freeze_compact();
-  EXPECT_TRUE(set.compact_frozen());
-
-  // thaw_compact rebuilds the f64 cache deterministically: same labels.
-  set.thaw_compact();
-  EXPECT_TRUE(set.frozen());
-  EXPECT_FALSE(set.compact_frozen());
-  std::vector<int> rebuilt(n);
-  set.best_clusters(c.ds, 0, n, rebuilt.data());
-  EXPECT_EQ(rebuilt, f64_labels);
-
-  // Any mutation thaws both banks.
-  set.freeze_compact();
-  set.add(0, c.ds, 0);
-  EXPECT_FALSE(set.frozen());
-  EXPECT_FALSE(set.compact_frozen());
-}
-
 // Pins the freeze() thread-safety contract stated in profile_set.h: the
 // first freeze() completes on one thread with a happens-before edge to
 // every reader (here: thread creation), after which any number of
@@ -470,48 +506,6 @@ TEST(ProfileSet, ConcurrentFrozenReads) {
   }
   for (std::thread& r : readers) r.join();
   for (const std::vector<int>& labels : got) EXPECT_EQ(labels, reference);
-}
-
-// The Model-level adoption gate: try_compact_scorer adopts the float32
-// bank only on proven label-identity over the supplied rows, proves
-// nothing from empty input, and FitOptions::compact_scorer wires the same
-// gate through Engine::fit without moving the fit's labels.
-TEST(Model, TryCompactScorerGate) {
-  data::WellSeparatedConfig config;
-  config.num_objects = 300;
-  config.purity = 0.8;
-  config.seed = 3;
-  const data::Dataset ds =
-      data::with_missing_cells(data::well_separated(config), 0.05, 11);
-  api::Engine engine;
-  api::FitOptions options;
-  options.method = "mcdc1";
-  options.k = 3;
-  options.seed = 9;
-  options.evaluate = false;
-  api::FitResult fit = engine.fit(ds, options);
-  ASSERT_TRUE(fit.ok());
-  EXPECT_FALSE(fit.model.compact_scorer());
-  const std::vector<int> f64_labels = fit.model.predict(ds);
-
-  // Empty input proves nothing: the f64 bank stays.
-  EXPECT_FALSE(fit.model.try_compact_scorer(nullptr, 0));
-  EXPECT_FALSE(fit.model.compact_scorer());
-
-  const bool adopted = fit.model.try_compact_scorer(ds);
-  EXPECT_EQ(fit.model.compact_scorer(), adopted);
-  if (adopted) {
-    // The gate's promise: every validated row keeps its label.
-    EXPECT_EQ(fit.model.predict(ds), f64_labels);
-  }
-
-  // The Engine wiring reaches the same decision and the same labels.
-  options.compact_scorer = true;
-  const api::FitResult compact_fit = engine.fit(ds, options);
-  ASSERT_TRUE(compact_fit.ok());
-  EXPECT_EQ(compact_fit.model.compact_scorer(), adopted);
-  EXPECT_EQ(compact_fit.report.labels, fit.report.labels);
-  EXPECT_EQ(compact_fit.model.predict(ds), f64_labels);
 }
 
 TEST(Model, PredictMatchesPredictRow) {
