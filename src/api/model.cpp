@@ -37,6 +37,21 @@ bool refine_to_fixpoint(const data::DatasetView& ds, int k,
   return false;
 }
 
+// Rows per parallel chunk of a frozen sweep, sized by its work: a chunk
+// scores at least kSweepChunkCells row x cluster x feature cells. A
+// 255-row serving batch of a k = 32, d = 10 model (~82k cells, ~16 us)
+// then runs inline instead of paying four pool hand-offs, while a
+// k = 256, d = 32 batch (32-row grain) still fans out. parallel_chunks
+// caps a sweep at 4 chunks per worker, so a large bulk sweep (200k rows
+// at k = 256, d = 32, say) splits into the same chunks as at grain 1024.
+constexpr std::size_t kSweepChunkCells = std::size_t{1} << 18;
+
+std::size_t sweep_grain(int k, std::size_t d) {
+  const std::size_t cells_per_row =
+      std::max<std::size_t>(1, static_cast<std::size_t>(k) * d);
+  return std::max<std::size_t>(1, kSweepChunkCells / cells_per_row);
+}
+
 }  // namespace
 
 Model Model::from_fit(std::string method, const data::DatasetView& ds,
@@ -121,7 +136,8 @@ void Model::predict_rows(const data::Value* rows, std::size_t n,
     return;
   }
   const std::size_t d = num_features();
-  parallel_chunks(n, 64, [&](std::size_t lo, std::size_t hi) {
+  const std::size_t grain = sweep_grain(k(), d);
+  parallel_chunks(n, grain, [&](std::size_t lo, std::size_t hi) {
     bank_.best_clusters(rows + lo * d, hi - lo, out + lo);
   });
 }
@@ -193,7 +209,8 @@ std::vector<int> Model::predict(const data::DatasetView& ds) const {
   // the cache-blocked batch argmax over it.
   std::vector<int> labels(ds.num_objects());
   const std::size_t d = ds.num_features();
-  parallel_chunks(ds.num_objects(), 1024, [&](std::size_t lo, std::size_t hi) {
+  const std::size_t grain = sweep_grain(k(), d);
+  parallel_chunks(labels.size(), grain, [&](std::size_t lo, std::size_t hi) {
     std::vector<data::Value> encoded((hi - lo) * d);
     for (std::size_t i = lo; i < hi; ++i) {
       data::Value* row = encoded.data() + (i - lo) * d;

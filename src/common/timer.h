@@ -17,6 +17,12 @@ class Timer {
 
   double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
+  // Seconds from this timer's start to `later`'s, without reading the
+  // clock: one Timer taken as "now" measures any number of stamps.
+  double seconds_until(const Timer& later) const {
+    return std::chrono::duration<double>(later.start_ - start_).count();
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -7,6 +7,7 @@
 
 #include "common/timer.h"
 #include "dist/sim_cluster.h"
+#include "stats/summary.h"
 
 namespace mcdc::serve {
 
@@ -31,19 +32,6 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-// Nearest-rank percentile (as ModelServer::stats uses) over a merged,
-// unsorted sample.
-double percentile(std::vector<double>& sample, double p) {
-  if (sample.empty()) return 0.0;
-  const double scaled = p * static_cast<double>(sample.size());
-  const auto above = static_cast<std::size_t>(std::ceil(scaled));
-  const std::size_t rank = std::min(sample.size() - 1, above - (above > 0));
-  std::nth_element(sample.begin(),
-                   sample.begin() + static_cast<std::ptrdiff_t>(rank),
-                   sample.end());
-  return sample[rank];
 }
 
 }  // namespace
@@ -281,9 +269,9 @@ api::ServeEvidence ServingCluster::stats() const {
       out.batches > 0
           ? static_cast<double>(out.requests) / static_cast<double>(out.batches)
           : 0.0;
-  out.p50_latency_us = percentile(merged, 0.50);
-  out.p99_latency_us = percentile(merged, 0.99);
-  out.p999_latency_us = percentile(merged, 0.999);
+  out.p50_latency_us = stats::percentile(merged, 0.50);
+  out.p99_latency_us = stats::percentile(merged, 0.99);
+  out.p999_latency_us = stats::percentile(std::move(merged), 0.999);
   out.shards = static_cast<int>(shards_.size());
   out.routed.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -1,9 +1,14 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
+
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
+#include "stats/summary.h"
 
 namespace mcdc::serve {
 
@@ -64,16 +69,20 @@ std::shared_ptr<const api::Model> ModelServer::swap_json(
                  "ModelServer::swap_json");
 }
 
-int ModelServer::predict(const data::Value* row) {
-  return submit(row).get();
-}
-
-std::future<int> ModelServer::submit(const data::Value* row) {
+BatchQueue& ModelServer::queue() {
   if (queue_ == nullptr) {
     throw std::logic_error(
         "ModelServer::submit: server was built without a row width");
   }
-  return queue_->submit(row);
+  return *queue_;
+}
+
+int ModelServer::predict(const data::Value* row) {
+  return queue().enqueue(row).wait();
+}
+
+std::future<int> ModelServer::submit(const data::Value* row) {
+  return queue().submit(row);
 }
 
 std::vector<int> ModelServer::predict(const data::DatasetView& ds) const {
@@ -85,10 +94,15 @@ std::vector<int> ModelServer::predict(const data::DatasetView& ds) const {
 }
 
 void ModelServer::dispatch_loop() {
+#if defined(__linux__)
+  // Linux lets a timed wait overshoot by the thread's timer slack, 50 us
+  // by default: as long as the default linger itself. 1 us keeps a lone
+  // request's wait close to linger_us.
+  prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
+#endif
   BatchQueue::Batch batch;
   std::vector<int> labels;
   while (queue_->next_batch(batch)) {
-    std::size_t fulfilled = 0;
     try {
       // One snapshot load serves the whole batch: a concurrent swap()
       // publishes for the *next* batch, never mid-sweep.
@@ -97,26 +111,23 @@ void ModelServer::dispatch_loop() {
       if (model != nullptr) {
         model->predict_rows(batch.rows.data(), batch.count, labels.data());
       }
-      // Stats first, promises second: a producer that has redeemed all
-      // its futures must find every one of its requests already counted.
-      record_batch(batch, session_.elapsed_seconds());
-      for (; fulfilled < batch.count; ++fulfilled) {
-        batch.promises[fulfilled].set_value(labels[fulfilled]);
-      }
+      // Stats first, labels second: a producer that has redeemed all its
+      // futures must find every one of its requests already counted.
+      record_batch(batch, Timer());
+      batch.complete(labels);
     } catch (...) {
       // A failing sweep (bad_alloc under load, a throwing body rethrown
-      // by parallel_chunks) fails the affected requests, never the
-      // server: an exception escaping this thread would std::terminate
-      // the process. Waiters see it from future::get().
-      for (; fulfilled < batch.count; ++fulfilled) {
-        batch.promises[fulfilled].set_exception(std::current_exception());
-      }
+      // by parallel_chunks) fails the whole batch, never the server: an
+      // exception escaping this thread would std::terminate the process.
+      // Waiters see it from future::get(); no partial labels are published.
+      batch.fail(std::current_exception());
     }
   }
 }
 
 void ModelServer::record_batch(const BatchQueue::Batch& batch,
-                               double now_seconds) {
+                               const Timer& now) {
+  const double now_seconds = session_.seconds_until(now);
   std::lock_guard lock(stats_mutex_);
   requests_ += batch.count;
   ++batches_;
@@ -127,7 +138,7 @@ void ModelServer::record_batch(const BatchQueue::Batch& batch,
     // window and zero throughput.
     double oldest = 0.0;
     for (std::size_t i = 0; i < batch.count; ++i) {
-      oldest = std::max(oldest, batch.enqueued[i].elapsed_seconds());
+      oldest = std::max(oldest, batch.enqueued[i].seconds_until(now));
     }
     first_batch_seconds_ = now_seconds - oldest;
   }
@@ -138,34 +149,15 @@ void ModelServer::record_batch(const BatchQueue::Batch& batch,
         std::min(config_.latency_capacity, latency_us_.size() + batch.count));
   }
   for (std::size_t i = 0; i < batch.count; ++i) {
-    const double us = batch.enqueued[i].elapsed_seconds() * 1e6;
+    const double us = batch.enqueued[i].seconds_until(now) * 1e6;
     if (latency_us_.size() < config_.latency_capacity) {
       latency_us_.push_back(us);
     } else {
       latency_us_[latency_next_] = us;
       latency_next_ = (latency_next_ + 1) % config_.latency_capacity;
     }
-    ++latency_count_;
   }
 }
-
-namespace {
-
-// Nearest-rank percentile of an unsorted sample (copied; nth_element):
-// rank = ceil(p * N) - 1, so p99 of 100 samples is the 99th order
-// statistic, not the maximum.
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  const double scaled = p * static_cast<double>(sample.size());
-  const auto above = static_cast<std::size_t>(std::ceil(scaled));
-  const std::size_t rank = std::min(sample.size() - 1, above - (above > 0));
-  std::nth_element(sample.begin(),
-                   sample.begin() + static_cast<std::ptrdiff_t>(rank),
-                   sample.end());
-  return sample[rank];
-}
-
-}  // namespace
 
 api::ServeEvidence ModelServer::stats() const {
   api::ServeEvidence out;
@@ -182,9 +174,9 @@ api::ServeEvidence ModelServer::stats() const {
   const double span = last_batch_seconds_ - first_batch_seconds_;
   out.throughput_rps =
       span > 0.0 ? static_cast<double>(requests_) / span : 0.0;
-  out.p50_latency_us = percentile(latency_us_, 0.50);
-  out.p99_latency_us = percentile(latency_us_, 0.99);
-  out.p999_latency_us = percentile(latency_us_, 0.999);
+  out.p50_latency_us = stats::percentile(latency_us_, 0.50);
+  out.p99_latency_us = stats::percentile(latency_us_, 0.99);
+  out.p999_latency_us = stats::percentile(latency_us_, 0.999);
   return out;
 }
 

@@ -15,10 +15,25 @@
 //   - submit()/predict(row) enqueue single rows into a BatchQueue; a
 //     dispatcher thread coalesces them (up to max_batch, lingering
 //     linger_us) and answers each batch with one frozen
-//     Model::predict_rows sweep fanned over the shared pool. Rows must
-//     already be in the model's encoding (Model::encoding_map translates
-//     foreign sources); out-of-domain codes score as missing, exactly as
+//     Model::predict_rows sweep (run inline for a small model's batch,
+//     fanned over the shared pool for a large one). Rows must already be
+//     in the model's encoding (Model::encoding_map translates foreign
+//     sources); out-of-domain codes score as missing, exactly as
 //     predict_row documents.
+//
+// Completion is per batch (serve/batch_queue.h): the dispatcher records
+// the batch's stats, copies its labels into the batch's slots and
+// publishes them with one notify; each request waits on its own slot in
+// the thread that redeems it. predict(row) waits on the slot directly.
+// submit() returns a std::launch::deferred future: get() waits as
+// predict(row) does, and wait_for()/wait_until() return
+// std::future_status::deferred without waiting. One std::promise per
+// request would cost the dispatcher a futex-wake syscall (inside
+// std::call_once) per request: 0.62 us of its 0.97 us per row in a closed
+// loop on a 4-vCPU host (k = 32, d = 10), against 0.10 us in predict_rows.
+// Labels survive the server: a future redeemed after the server is
+// destroyed still returns its label, because stop() answers every
+// accepted request before the dispatcher exits.
 //
 // Contract mirrors StreamingMgcpl::classify: with no published snapshot
 // every request answers -1 — there is nothing to assign to, and pretending
@@ -108,7 +123,8 @@ class ModelServer {
   // hold row_width() values in the model's encoding; the queue copies it.
   // Throws std::logic_error when the server was built without a row width.
   int predict(const data::Value* row);
-  // The asynchronous form: enqueue now, redeem the label later.
+  // The asynchronous form: enqueue now, redeem the label later with get()
+  // (a deferred future: wait_for/wait_until report future_status::deferred).
   std::future<int> submit(const data::Value* row);
 
   // Whole-dataset predict against one snapshot load (dictionary re-coding
@@ -130,8 +146,12 @@ class ModelServer {
   void stop();
 
  private:
+  // The single-row queue; throws std::logic_error when there is none.
+  BatchQueue& queue();
   void dispatch_loop();
-  void record_batch(const BatchQueue::Batch& batch, double now_seconds);
+  // Counts the batch and its submit-to-label latencies against `now`, one
+  // clock read for the whole batch.
+  void record_batch(const BatchQueue::Batch& batch, const Timer& now);
   // swap() with the publishing call site named in the width-mismatch error
   // (api::feature_width_message), so swap_json and binary reloads report
   // their own context.
@@ -161,7 +181,6 @@ class ModelServer {
   std::uint64_t batches_ = 0;
   std::vector<double> latency_us_;  // ring of the last latency_capacity
   std::size_t latency_next_ = 0;
-  std::uint64_t latency_count_ = 0;
   Timer session_;                 // epoch for the throughput window
   double first_batch_seconds_ = -1.0;
   double last_batch_seconds_ = -1.0;

@@ -1,5 +1,6 @@
 #include "stats/summary.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mcdc::stats {
@@ -35,6 +36,17 @@ double stddev_of(const std::vector<double>& xs) {
   RunningStats s;
   for (double x : xs) s.add(x);
   return s.stddev();
+}
+
+double percentile(std::vector<double> sample, double p) {
+  if (sample.empty()) return 0.0;
+  const double scaled = p * static_cast<double>(sample.size());
+  const auto above = static_cast<std::size_t>(std::ceil(scaled));
+  const std::size_t rank = std::min(sample.size() - 1, above - (above > 0));
+  std::nth_element(sample.begin(),
+                   sample.begin() + static_cast<std::ptrdiff_t>(rank),
+                   sample.end());
+  return sample[rank];
 }
 
 }  // namespace mcdc::stats

@@ -29,4 +29,10 @@ class RunningStats {
 double mean_of(const std::vector<double>& xs);
 double stddev_of(const std::vector<double>& xs);
 
+// Nearest-rank percentile of an unsorted sample (taken by value and
+// partially reordered with nth_element): rank = ceil(p * N) - 1, so p99 of
+// 100 samples is the 99th order statistic, not the maximum. 0 when the
+// sample is empty.
+double percentile(std::vector<double> sample, double p);
+
 }  // namespace mcdc::stats

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
+#include "common/timer.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
 #include "dist/prepartition.h"
@@ -224,9 +226,7 @@ TEST(BatchQueue, CoalescesUpToMaxBatch) {
   ASSERT_TRUE(queue.next_batch(batch));
   EXPECT_EQ(batch.count, 4u);
   EXPECT_EQ(batch.rows, (std::vector<data::Value>{0, 1, 2, 3}));
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    batch.promises[i].set_value(static_cast<int>(i));
-  }
+  batch.complete({0, 1, 2, 3});
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(futures[i].get(), static_cast<int>(i));
   }
@@ -244,9 +244,182 @@ TEST(BatchQueue, CloseDrainsThenStops) {
   serve::BatchQueue::Batch batch;
   ASSERT_TRUE(queue.next_batch(batch));
   ASSERT_EQ(batch.count, 1u);
-  batch.promises[0].set_value(42);
+  batch.complete({42});
   EXPECT_EQ(pending.get(), 42);
   EXPECT_FALSE(queue.next_batch(batch));  // closed and drained
+}
+
+TEST(BatchQueue, FailedBatchReachesEveryWaiter) {
+  serve::BatchQueueConfig config;
+  config.max_batch = 4;
+  config.linger_us = 0.0;
+  serve::BatchQueue queue(1, config);
+
+  // Three futures redeemed on waiter threads (most block before the batch
+  // is answered) plus one bare ticket: all four share one batch.
+  const data::Value v = 0;
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(queue.submit(&v));
+  const serve::Ticket ticket = queue.enqueue(&v);
+
+  std::atomic<int> failed{0};
+  std::vector<std::thread> waiters;
+  for (auto& future : futures) {
+    waiters.emplace_back([&failed, &future] {
+      try {
+        future.get();
+      } catch (const std::runtime_error&) {
+        failed.fetch_add(1);
+      }
+    });
+  }
+  serve::BatchQueue::Batch batch;
+  ASSERT_TRUE(queue.next_batch(batch));
+  ASSERT_EQ(batch.count, 4u);
+  batch.fail(std::make_exception_ptr(std::runtime_error("sweep failed")));
+  for (auto& waiter : waiters) waiter.join();
+  EXPECT_EQ(failed.load(), 3);
+  EXPECT_THROW(ticket.wait(), std::runtime_error);
+
+  // A failed batch stays failed: a late complete() publishes nothing.
+  batch.complete({1, 1, 1, 1});
+  EXPECT_THROW(ticket.wait(), std::runtime_error);
+
+  // A batch dropped unanswered, and requests still queued when the queue
+  // dies, break their promises instead of blocking their waiters forever.
+  std::future<int> dropped = queue.submit(&v);
+  std::future<int> orphaned;
+  {
+    serve::BatchQueue::Batch unanswered;
+    ASSERT_TRUE(queue.next_batch(unanswered));
+    orphaned = queue.submit(&v);
+  }
+  EXPECT_THROW(dropped.get(), std::future_error);
+  {
+    serve::BatchQueue doomed(1, config);
+    orphaned = doomed.submit(&v);
+  }
+  EXPECT_THROW(orphaned.get(), std::future_error);
+}
+
+TEST(BatchQueue, UnredeemedFuturesAreSafe) {
+  serve::BatchQueueConfig config;
+  config.max_batch = 8;
+  config.linger_us = 0.0;
+  serve::BatchQueue queue(1, config);
+  const data::Value v = 1;
+
+  // Futures and tickets dropped before their batch is answered: the batch
+  // outlives none of them and none of them outlives the batch's slots.
+  for (int i = 0; i < 5; ++i) (void)queue.submit(&v);
+  { const serve::Ticket ticket = queue.enqueue(&v); }
+  std::future<int> kept = queue.submit(&v);
+  serve::BatchQueue::Batch batch;
+  ASSERT_TRUE(queue.next_batch(batch));
+  ASSERT_EQ(batch.count, 7u);
+  batch.complete(std::vector<int>(7, 3));
+  EXPECT_EQ(kept.get(), 3);
+
+  // The same through a live server: fire-and-forget traffic, then a
+  // redeemed request, and every request counted.
+  serve::ModelServer server(model_always_zero());
+  const data::Value row[] = {2};
+  for (int i = 0; i < 1000; ++i) (void)server.submit(row);
+  EXPECT_EQ(server.predict(row), 0);
+  server.stop();
+  EXPECT_EQ(server.stats().requests, 1001u);
+}
+
+TEST(ModelServer, FutureOutlivesServer) {
+  const data::Value row[] = {0};
+  std::future<int> answer;
+  {
+    serve::ModelServer server(model_prefers_one());
+    answer = server.submit(row);
+  }  // stop() answers every accepted request before the server dies
+  // A deferred future reports no readiness; get() returns the label.
+  EXPECT_EQ(answer.wait_for(std::chrono::seconds(0)),
+            std::future_status::deferred);
+  EXPECT_EQ(answer.get(), 1);
+}
+
+TEST(ModelServer, FullBatchCutsTheLingerShort) {
+  // The dispatcher sleeps through a partial batch for up to linger_us but
+  // must wake the moment a full batch is pending.
+  serve::ServeConfig config;
+  config.queue.max_batch = 4;
+  config.queue.linger_us = 30e6;  // 30 s: only a full batch ends it
+  serve::ModelServer server(model_always_zero(), config);
+  const data::Value row[] = {2};
+  Timer timer;
+  std::vector<std::future<int>> futures;
+  futures.push_back(server.submit(row));
+  // Give the dispatcher time to wake for the first request and start
+  // lingering, so the fourth submit has to cut that linger short.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 1; i < 4; ++i) futures.push_back(server.submit(row));
+  for (auto& future : futures) EXPECT_EQ(future.get(), 0);
+  EXPECT_LT(timer.elapsed_seconds(), 10.0);
+  EXPECT_EQ(server.stats().batches, 1u);
+}
+
+TEST(ModelServer, StopDuringSubmitChurnAnswersEveryRedeemedFuture) {
+  serve::ServeConfig config;
+  config.queue.max_batch = 8;
+  config.queue.linger_us = 20.0;
+  serve::ModelServer server(model_always_zero(), config);
+
+  // Producers submit, drop every third future and redeem the rest until
+  // stop() closes the queue under them.
+  constexpr int kProducers = 4;
+  std::atomic<int> running{0};
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> redeemed{0};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&] {
+      const data::Value row[] = {1};
+      std::vector<std::future<int>> window;
+      const auto redeem = [&] {
+        for (auto& future : window) {
+          try {
+            if (future.get() != 0) bad.fetch_add(1);
+          } catch (const std::exception&) {
+            // Throwing is an answer too; hanging is not.
+          }
+          redeemed.fetch_add(1);
+        }
+        window.clear();
+      };
+      bool announced = false;
+      for (std::uint64_t i = 0;; ++i) {
+        std::future<int> future;
+        try {
+          future = server.submit(row);
+        } catch (const std::runtime_error&) {
+          break;  // closed
+        }
+        accepted.fetch_add(1);
+        if (!announced && i >= 64) {
+          running.fetch_add(1);
+          announced = true;
+        }
+        if (i % 3 != 0) window.push_back(std::move(future));
+        if (window.size() >= 16) redeem();
+      }
+      redeem();
+      if (!announced) running.fetch_add(1);
+    });
+  }
+  while (running.load() < kProducers) std::this_thread::yield();
+  server.stop();
+  for (auto& producer : producers) producer.join();
+
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(redeemed.load(), 0u);
+  // Every accepted request was answered, redeemed or not.
+  EXPECT_EQ(server.stats().requests, accepted.load());
 }
 
 TEST(BatchQueue, RejectsDegenerateConfigs) {

@@ -8,9 +8,9 @@
 // Ratios are dimensionless speedups, so the comparison is meaningful across
 // machines of different absolute speed; a shrinking ratio means the fast
 // path lost ground against its own baseline on the same hardware. Ratios
-// present only in the current run (a new bench phase) pass trivially, and
-// the "build" stamps of both documents are printed so a cross-flavour
-// comparison is visible in the log.
+// present only in the current run (a new bench phase) are printed as
+// "NEW (not gated)" and pass, and the "build" stamps of both documents are
+// printed so a cross-flavour comparison is visible in the log.
 //
 // A current run may carry a top-level "skipped" array naming ratio keys its
 // host could not measure (e.g. "simd_vs_scalar_k64" on a machine without
@@ -108,6 +108,11 @@ int main(int argc, char** argv) {
                   key.c_str(), old_value, new_value, floor,
                   pass ? "ok" : "REGRESSED");
       ok = ok && pass;
+    }
+    for (const auto& [key, value] : have.items()) {
+      if (want.contains(key)) continue;
+      std::printf("%-28s current  %8.3f  NEW (not gated)\n", key.c_str(),
+                  value.as_double());
     }
     if (!ok) {
       std::fprintf(stderr,
