@@ -3,14 +3,24 @@
 // Syn_n, and (c) d on Syn_d.
 //
 //   bench_fig6_scalability [--sweep n|k|d|all] [--paper] [--repeats R]
+//                          [--json [FILE]]
 //
 // The default sweep is scaled down so the whole figure regenerates in
 // minutes; --paper uses the paper's full ranges (n up to 200000, k up to
 // 5000, d up to 1000 — expect a long run). Shapes, not absolute times, are
 // the reproduction target: every curve should look linear.
+//
+// --json writes the Fig. 6(a) record (default BENCH_fit.json; needs the n
+// sweep): MCDC's mean fit seconds and seconds per row at each n, the
+// least-squares log-log slope of fit time against n (1.0 = linear), and
+// as ratios the per-row time at 2x, 4x and 8x the smallest n over the
+// per-row time at the smallest n (1.0 = linear).
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "bench_io.h"
 
 #include "baselines/fkmawcw.h"
 #include "baselines/kmodes.h"
@@ -60,6 +70,67 @@ void print_header(const char* third) {
   std::printf("%-10s %-10s %-10s %-10s\n", "x", "MCDC(s)", "K-MODES(s)", third);
 }
 
+// Least-squares slope of log(seconds) against log(n).
+double loglog_slope(const std::vector<std::size_t>& ns,
+                    const std::vector<double>& seconds) {
+  const auto m = static_cast<double>(ns.size());
+  double sx = 0.0;
+  double sy = 0.0;
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    sx += std::log(static_cast<double>(ns[i]));
+    sy += std::log(seconds[i]);
+  }
+  const double mx = sx / m;
+  const double my = sy / m;
+  double sxy = 0.0;
+  double sxx = 0.0;
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    const double dx = std::log(static_cast<double>(ns[i])) - mx;
+    sxy += dx * (std::log(seconds[i]) - my);
+    sxx += dx * dx;
+  }
+  return sxx > 0.0 ? sxy / sxx : 0.0;
+}
+
+api::Json fit_record(const std::vector<std::size_t>& ns,
+                     const std::vector<double>& seconds, int repeats,
+                     bool paper) {
+  api::Json doc = api::Json::object();
+  doc["bench"] = std::string("fit");
+  doc["build"] = bench::build_info(false);
+  api::Json workload = api::Json::object();
+  workload["dataset"] = std::string("Syn_n (d=10, k*=3)");
+  workload["method"] = std::string("mcdc, k=3");
+  workload["repeats"] = repeats;
+  workload["paper"] = paper;
+  doc["workload"] = std::move(workload);
+
+  api::Json points = api::Json::array();
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    api::Json point = api::Json::object();
+    point["n"] = ns[i];
+    point["fit_s"] = seconds[i];
+    point["s_per_row"] = seconds[i] / static_cast<double>(ns[i]);
+    points.push_back(std::move(point));
+  }
+  api::Json metrics = api::Json::object();
+  metrics["sweep"] = std::move(points);
+  metrics["loglog_slope"] = loglog_slope(ns, seconds);
+  doc["metrics"] = std::move(metrics);
+
+  api::Json ratios = api::Json::object();
+  const double base = seconds[0] / static_cast<double>(ns[0]);
+  for (const std::size_t multiple : {2, 4, 8}) {
+    for (std::size_t i = 0; i < ns.size(); ++i) {
+      if (ns[i] != multiple * ns[0]) continue;
+      ratios["per_row_" + std::to_string(multiple) + "x"] =
+          seconds[i] / static_cast<double>(ns[i]) / base;
+    }
+  }
+  doc["ratios"] = std::move(ratios);
+  return doc;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,6 +138,14 @@ int main(int argc, char** argv) {
   const std::string sweep = cli.get("sweep", "all");
   const bool paper = cli.has("paper");
   const int repeats = static_cast<int>(cli.get_int("repeats", paper ? 10 : 3));
+  std::string json_path = cli.get("json", "");
+  if (cli.has("json") && json_path.empty()) json_path = "BENCH_fit.json";
+  if (cli.has("json") && sweep != "n" && sweep != "all") {
+    std::fprintf(stderr, "--json records the n sweep: use --sweep n or all\n");
+    return 1;
+  }
+  std::vector<std::size_t> fit_ns;
+  std::vector<double> fit_seconds;
 
   // Iteration counts are capped at a fixed 10 sweeps for the counterparts so
   // the curves show the per-iteration cost growth (the complexity claim under
@@ -92,12 +171,25 @@ int main(int argc, char** argv) {
     }
     for (std::size_t n : ns) {
       const auto ds = data::syn_n(n);
-      std::printf("%-10zu %-10.3f %-10.3f %-10.3f\n", n,
-                  time_mcdc(ds, 3, repeats), time_method(kmodes, ds, 3, repeats),
+      const double mcdc_s = time_mcdc(ds, 3, repeats);
+      fit_ns.push_back(n);
+      fit_seconds.push_back(mcdc_s);
+      std::printf("%-10zu %-10.3f %-10.3f %-10.3f\n", n, mcdc_s,
+                  time_method(kmodes, ds, 3, repeats),
                   time_method(fkmawcw, ds, 3, repeats));
       std::fflush(stdout);
     }
     std::printf("\n");
+    if (cli.has("json")) {
+      if (!bench::write_json(json_path,
+                             fit_record(fit_ns, fit_seconds, repeats, paper))) {
+        std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        return 1;
+      }
+      std::printf("log-log slope of MCDC fit time in n: %.3f\n",
+                  loglog_slope(fit_ns, fit_seconds));
+      std::printf("record written to %s\n\n", json_path.c_str());
+    }
   }
 
   if (sweep == "k" || sweep == "all") {

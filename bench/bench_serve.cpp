@@ -41,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
+#include <deque>
 #include <future>
 #include <memory>
 #include <string>
@@ -546,23 +547,37 @@ int main(int argc, char** argv) {
     serve::OnlineUpdater updater(
         server, serve::make_online_learner(online, ds.cardinalities()),
         online);
+    // Each hammer keeps a rolling window of submit() futures in flight, so
+    // the dispatcher always has batches to fill while the updater absorbs
+    // (one blocking predict per thread would idle out each linger), and
+    // the updater starts only once every window is full. The printed count
+    // is the predicts answered while the updater ran.
+    constexpr std::size_t kInFlight = 64;
     std::atomic<bool> done{false};
+    std::atomic<int> primed{0};
     std::atomic<std::uint64_t> answered{0};
     std::vector<std::thread> hammers;
     const int hammer_threads = std::max(1, producers - 1);
     hammers.reserve(static_cast<std::size_t>(hammer_threads));
     for (int t = 0; t < hammer_threads; ++t) {
       hammers.emplace_back([&, t] {
+        std::deque<std::future<int>> window;
         std::size_t i = static_cast<std::size_t>(t);
         std::uint64_t count = 0;
         while (!done.load(std::memory_order_relaxed)) {
-          if (server->predict(rows.data() + (i % n) * d) < -1) break;
+          window.push_back(server->submit(rows.data() + (i % n) * d));
           i += static_cast<std::size_t>(hammer_threads);
+          if (window.size() == kInFlight && count == 0) primed.fetch_add(1);
+          if (window.size() < kInFlight) continue;
+          window.front().get();
+          window.pop_front();
           ++count;
         }
         answered.fetch_add(count);
+        for (auto& future : window) future.get();
       });
     }
+    while (primed.load() < hammer_threads) std::this_thread::yield();
     Timer timer;
     const std::size_t chunk = 256;
     std::size_t absorbed = 0;

@@ -13,17 +13,21 @@ namespace {
 
 // Batch Lloyd sweeps with the Sec. II-A similarity until the partition is
 // its own predict() image. Returns true on convergence with all k clusters
-// populated; `labels` then holds the fixpoint.
+// populated; `labels` then holds the fixpoint and `bank` its frozen
+// histogram bank.
 //
 // Each sweep freezes the histogram bank, so every row is scored against all
 // k clusters with one division-free flat sweep, and rows fan out over the
 // shared pool (disjoint writes -> labels identical to the serial sweep).
+// The bank is accumulated once; between sweeps only the rows that changed
+// label are moved. Counts are integral doubles, so every +-1 is exact and
+// the bank stays bit-identical to from_assignment of the current labels.
 bool refine_to_fixpoint(const data::DatasetView& ds, int k,
-                        std::vector<int>& labels) {
+                        std::vector<int>& labels, core::ProfileSet& bank) {
   constexpr int kMaxSweeps = 100;
   std::vector<int> next(labels.size());
+  core::ProfileSet profiles = core::ProfileSet::from_assignment(ds, labels, k);
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    core::ProfileSet profiles = core::ProfileSet::from_assignment(ds, labels, k);
     for (int l = 0; l < k; ++l) {
       if (profiles.empty(l)) return false;
     }
@@ -31,7 +35,18 @@ bool refine_to_fixpoint(const data::DatasetView& ds, int k,
     parallel_chunks(labels.size(), 2048, [&](std::size_t lo, std::size_t hi) {
       profiles.best_clusters(ds, lo, hi, next.data() + lo);
     });
-    if (next == labels) return true;
+    if (next == labels) {
+      bank = std::move(profiles);
+      return true;
+    }
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if (next[i] == labels[i]) continue;
+      if (labels[i] < 0) {
+        profiles.add(next[i], ds, i);
+      } else {
+        profiles.move(labels[i], next[i], ds, i);
+      }
+    }
     labels.swap(next);
   }
   return false;
@@ -72,14 +87,18 @@ Model Model::from_fit(std::string method, const data::DatasetView& ds,
     }
   }
   model.training_labels_ = labels;
+  bool refined_bank = false;
   if (refine) {
     std::vector<int> refined = labels;
-    if (refine_to_fixpoint(ds, k, refined)) {
+    if (refine_to_fixpoint(ds, k, refined, model.bank_)) {
       model.training_labels_ = std::move(refined);
+      refined_bank = true;
     }
   }
-  model.bank_ =
-      core::ProfileSet::from_assignment(ds, model.training_labels_, k);
+  if (!refined_bank) {
+    model.bank_ =
+        core::ProfileSet::from_assignment(ds, model.training_labels_, k);
+  }
   model.bank_.freeze();
   model.kappa_ = std::move(kappa);
   model.theta_ = std::move(theta);

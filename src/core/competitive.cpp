@@ -87,24 +87,17 @@ int CompetitiveStage::run() {
 
       // One division-free sweep of the weighted-quotient bank scores x_i
       // against every cluster (Eq. 14 with the per-cluster weight
-      // columns). The Eq. (7) penalty transform is elementwise, after
-      // which winner (Eq. 6) and rival (Eq. 9) are two vectorised
-      // lowest-id argmax scans — the second with the winner masked by a
-      // sentinel below any transformed score (all are >= 0). This
-      // reproduces the classic single-pass top-2 scan exactly, including
-      // its lowest-id tie resolution, keeping runs reproducible.
+      // columns). One fused pass then applies the Eq. (7) penalty and
+      // picks winner (Eq. 6) and rival (Eq. 9) by lowest-id top-2, exactly
+      // the classic single-pass scan, so runs stay reproducible. Under
+      // cumulative_rho g_prev_ mirrors the stage-cumulative counts,
+      // otherwise it holds the previous sweep's frozen counts.
       scores_.resize(k);
       kr.score_row_f64(scores_.data(), bank_.data(), cells_.data(), d, 1.0, k);
-      for (std::size_t l = 0; l < k; ++l) {
-        // Eq. (7); under cumulative_rho g_prev_ mirrors the
-        // stage-cumulative counts, otherwise it holds the previous sweep's
-        // frozen counts.
-        const double rho = g_total > 0.0 ? g_prev_[l] / g_total : 0.0;
-        scores_[l] = (1.0 - rho) * u_[l] * scores_[l];
-      }
-      const auto v = static_cast<std::size_t>(kr.argmax(scores_.data(), k));
-      scores_[v] = -1.0;
-      const auto h = static_cast<std::size_t>(kr.argmax(scores_.data(), k));
+      std::size_t v = 0;
+      std::size_t h = 0;
+      kr.penalized_top2(scores_.data(), g_prev_.data(), u_.data(), g_total, k,
+                        &v, &h);
 
       changed = assign(i, static_cast<int>(v)) || changed;
       g_cur_[v] += 1.0;  // Eq. (10)

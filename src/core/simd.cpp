@@ -57,9 +57,39 @@ void score_row_f64_scalar(double* out, const double* bank,
   }
 }
 
+// One strict-> top-2 scan over the penalised scores. A value only
+// displaces the best (demoting it to second) or the second when strictly
+// greater, so each slot keeps the lowest index of its value: the same
+// winner as argmax, and the same rival as argmax with the winner masked
+// to -1.0 (both slots start at (-1.0, 0), the argmax seed).
+void penalized_top2_scalar(const double* s, const double* g, const double* u,
+                           double g_total, std::size_t k, std::size_t* v,
+                           std::size_t* h) {
+  std::size_t best = 0;
+  std::size_t second = 0;
+  double best_t = -1.0;
+  double second_t = -1.0;
+  for (std::size_t l = 0; l < k; ++l) {
+    const double rho = g_total > 0.0 ? g[l] / g_total : 0.0;
+    const double t = (1.0 - rho) * u[l] * s[l];
+    if (t > best_t) {
+      second_t = best_t;
+      second = best;
+      best_t = t;
+      best = l;
+    } else if (t > second_t) {
+      second_t = t;
+      second = l;
+    }
+  }
+  *v = best;
+  *h = second;
+}
+
 constexpr Kernels kScalarTable = {
-    acc_f64_scalar, div_f64_scalar,       quot_f64_scalar,
-    argmax_scalar,  score_row_f64_scalar,
+    acc_f64_scalar,       div_f64_scalar, quot_f64_scalar,
+    argmax_scalar,        score_row_f64_scalar,
+    penalized_top2_scalar,
 };
 
 // Level requested by MCDC_SIMD (auto when unset/unrecognised).

@@ -7,14 +7,17 @@
 // own translation unit) on x86-64 hardware that supports it, and a
 // portable scalar fallback everywhere else.
 //
-// Determinism contract (docs/API.md "Scoring kernel"): every kernel is
-// *elementwise* — out[l] only ever combines values at slot l — so the
-// per-feature accumulation order inside a row's score is identical across
-// scalar and vector paths and across vector widths. No horizontal sums,
-// no reassociation, and the AVX2 unit is built with -ffp-contract=off so
-// mul+add never fuses into an FMA the scalar path doesn't perform. Labels
-// (and scores) are therefore byte-identical across dispatch levels; the
-// determinism suite pins FNV goldens per level to enforce it.
+// Determinism contract (docs/API.md "Scoring kernel"): every arithmetic
+// kernel is *elementwise* — out[l] only ever combines values at slot l —
+// so the per-feature accumulation order inside a row's score is identical
+// across scalar and vector paths and across vector widths. No horizontal
+// sums, no reassociation, and the AVX2 unit is built with -ffp-contract=off
+// so mul+add never fuses into an FMA the scalar path doesn't perform. The
+// only cross-lane steps are the selections of argmax and penalized_top2,
+// which compare values without computing any, and order them by (value,
+// then lowest index) — the scalar scan's rule. Labels (and scores) are
+// therefore byte-identical across dispatch levels; the determinism suite
+// pins FNV goldens per level to enforce it.
 //
 // Selection: MCDC_SIMD=off|scalar forces the fallback, =avx2 requests
 // AVX2 (falls back to scalar when unsupported), =auto or unset picks the
@@ -73,6 +76,20 @@ struct Kernels {
   void (*score_row_f64)(double* out, const double* bank,
                         const std::size_t* cells, std::size_t d, double denom,
                         std::size_t k);
+  // MGCPL's per-row decision (Eqs. 6, 7, 9) in one pass over s[0..k):
+  // the penalised score t[l] = ((1 - rho_l) * u[l]) * s[l] with
+  // rho_l = g_total > 0 ? g[l] / g_total : 0, then *v = the winner and
+  // *h = the rival. Exactly the sequence "transform s in place; v =
+  // argmax(s); s[v] = -1.0; h = argmax(s)" — v is the lowest index of the
+  // strict maximum of t, h the lowest index of the strict maximum over
+  // l != v (0 when every other t[l] <= -1, as that second argmax
+  // returns) — without writing s. The vector path keeps a per-lane
+  // (best, second) pair with strict-> blends, then reduces the lanes by
+  // (greater value, then lower index), the argmax rule, so both ids are
+  // those of the scalar scan at every level.
+  void (*penalized_top2)(const double* s, const double* g, const double* u,
+                         double g_total, std::size_t k, std::size_t* v,
+                         std::size_t* h);
 };
 
 // Sentinel for score_row_f64 cells entries: skip this feature (missing

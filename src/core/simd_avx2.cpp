@@ -3,10 +3,11 @@
 // This translation unit is the only one compiled with -mavx2 (plus
 // -ffp-contract=off so GCC can never contract a multiply and an add into
 // an FMA — the scalar path rounds the product before the add, and
-// byte-identity with it is the whole contract). Everything here is
+// byte-identity with it is the whole contract). All arithmetic here is
 // elementwise over the cluster dimension: lane l of a vector only ever
 // combines slot-l values, so per-feature accumulation order matches the
-// scalar loop exactly and no horizontal reduction touches a comparator.
+// scalar loop exactly. The only cross-lane steps are the argmax and top-2
+// selections, which compare values by (value, then lowest index).
 //
 // Intrinsics are confined to simd-prefixed files by lint rule D6.
 #include "core/simd.h"
@@ -166,9 +167,99 @@ void score_row_f64_avx2(double* out, const double* bank,
   }
 }
 
+// Fused penalty transform + top-2. The transform is elementwise and runs
+// the scalar op sequence per lane ((1 - rho) * u, then * s, each rounded;
+// rho a true division). Each lane then keeps its own (best, second) pair
+// with strict-> blends, so lane j holds the top two of its subsequence
+// {j, j+4, ...}, each at the lowest index attaining its value — the scalar
+// scan's result on that subsequence. The global top two lie among those
+// eight entries; inserting them into a (best, second) pair by (greater
+// value, then lower index) recovers them. Seeds of (-1.0, 0) never
+// displace anything (every selectable t is > -1.0) and match the scalar
+// seeds when nothing is selectable.
+void penalized_top2_avx2(const double* s, const double* g, const double* u,
+                         double g_total, std::size_t k, std::size_t* v,
+                         std::size_t* h) {
+  double best_t = -1.0;
+  double second_t = -1.0;
+  std::size_t best = 0;
+  std::size_t second = 0;
+  std::size_t l = 0;
+  if (k >= 8) {
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d vtotal = _mm256_set1_pd(g_total);
+    const bool penalise = g_total > 0.0;
+    __m256d vbest = _mm256_set1_pd(-1.0);
+    __m256d vsecond = vbest;
+    __m256d ibest = _mm256_setzero_pd();
+    __m256d isecond = ibest;
+    __m256d cur = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+    const __m256d step = _mm256_set1_pd(4.0);
+    for (; l + 4 <= k; l += 4) {
+      const __m256d rho = penalise
+                              ? _mm256_div_pd(_mm256_loadu_pd(g + l), vtotal)
+                              : _mm256_setzero_pd();
+      const __m256d t =
+          _mm256_mul_pd(_mm256_mul_pd(_mm256_sub_pd(one, rho),
+                                      _mm256_loadu_pd(u + l)),
+                        _mm256_loadu_pd(s + l));
+      const __m256d gt_best = _mm256_cmp_pd(t, vbest, _CMP_GT_OQ);
+      const __m256d gt_second = _mm256_cmp_pd(t, vsecond, _CMP_GT_OQ);
+      // second <- t > best ? best : (t > second ? t : second)
+      vsecond = _mm256_blendv_pd(_mm256_blendv_pd(vsecond, t, gt_second),
+                                 vbest, gt_best);
+      isecond = _mm256_blendv_pd(_mm256_blendv_pd(isecond, cur, gt_second),
+                                 ibest, gt_best);
+      vbest = _mm256_blendv_pd(vbest, t, gt_best);
+      ibest = _mm256_blendv_pd(ibest, cur, gt_best);
+      cur = _mm256_add_pd(cur, step);
+    }
+    alignas(32) double lane_t[8];
+    alignas(32) double lane_i[8];
+    _mm256_store_pd(lane_t, vbest);
+    _mm256_store_pd(lane_t + 4, vsecond);
+    _mm256_store_pd(lane_i, ibest);
+    _mm256_store_pd(lane_i + 4, isecond);
+    double best_i = 0.0;
+    double second_i = 0.0;
+    for (int j = 0; j < 8; ++j) {
+      const double t = lane_t[j];
+      const double i = lane_i[j];
+      if (t > best_t || (t == best_t && i < best_i)) {
+        second_t = best_t;
+        second_i = best_i;
+        best_t = t;
+        best_i = i;
+      } else if (t > second_t || (t == second_t && i < second_i)) {
+        second_t = t;
+        second_i = i;
+      }
+    }
+    best = static_cast<std::size_t>(best_i);
+    second = static_cast<std::size_t>(second_i);
+  }
+  // Scalar tail: every tail index is higher than any vector index, so the
+  // strict > alone preserves the lowest-id rule for both slots.
+  for (; l < k; ++l) {
+    const double rho = g_total > 0.0 ? g[l] / g_total : 0.0;
+    const double t = (1.0 - rho) * u[l] * s[l];
+    if (t > best_t) {
+      second_t = best_t;
+      second = best;
+      best_t = t;
+      best = l;
+    } else if (t > second_t) {
+      second_t = t;
+      second = l;
+    }
+  }
+  *v = best;
+  *h = second;
+}
+
 constexpr Kernels kAvx2Table = {
-    acc_f64_avx2, div_f64_avx2,       quot_f64_avx2,
-    argmax_avx2,  score_row_f64_avx2,
+    acc_f64_avx2,       div_f64_avx2,       quot_f64_avx2,
+    argmax_avx2,        score_row_f64_avx2, penalized_top2_avx2,
 };
 
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }

@@ -1,15 +1,20 @@
 // Validity-index tests: exact values against hand-computed contingency
-// tables and published reference values, plus property sweeps.
+// tables and published reference values, bitwise equality of the one-table
+// score_all and tabulated EMI with the per-index evaluation they replaced,
+// plus property sweeps.
 #include "metrics/indices.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/synthetic.h"
 #include "metrics/contingency.h"
+#include "metrics/hungarian.h"
 
 namespace mcdc::metrics {
 namespace {
@@ -218,6 +223,194 @@ TEST(ScoreAll, BundlesTheFourIndices) {
   EXPECT_DOUBLE_EQ(s.ari, adjusted_rand_index(pred, truth));
   EXPECT_DOUBLE_EQ(s.ami, adjusted_mutual_information(pred, truth));
   EXPECT_DOUBLE_EQ(s.fm, fowlkes_mallows(pred, truth));
+}
+
+// --- Bitwise references for the one-table score path -------------------------
+//
+// score_all builds one contingency table for all four indices, and the EMI
+// reads lgamma/log from tables built once per call. The references below
+// are the evaluation they replaced, kept test-local: nine lgamma calls per
+// EMI term, and one table per index (AMI's MI on a second table). Every
+// result must be memcpy-equal, not merely close.
+
+double ref_entropy(const std::vector<std::int64_t>& sums, std::int64_t total) {
+  double h = 0.0;
+  for (std::int64_t s : sums) {
+    if (s <= 0) continue;
+    const double p = static_cast<double>(s) / static_cast<double>(total);
+    h -= p * std::log(p);
+  }
+  return h;
+}
+
+double ref_emi(const Contingency& ct) {
+  const auto n = static_cast<double>(ct.total());
+  const auto log_n = std::log(n);
+  auto lf = [](double x) { return std::lgamma(x + 1.0); };
+  double emi = 0.0;
+  for (std::int64_t ai : ct.row_sums()) {
+    if (ai == 0) continue;
+    for (std::int64_t bj : ct.col_sums()) {
+      if (bj == 0) continue;
+      const std::int64_t lo = std::max<std::int64_t>(1, ai + bj - ct.total());
+      const std::int64_t hi = std::min(ai, bj);
+      for (std::int64_t nij = lo; nij <= hi; ++nij) {
+        const auto x = static_cast<double>(nij);
+        const auto a = static_cast<double>(ai);
+        const auto b = static_cast<double>(bj);
+        const double term1 =
+            x / n * (std::log(x) + log_n - std::log(a) - std::log(b));
+        const double log_prob = lf(a) + lf(b) + lf(n - a) + lf(n - b) -
+                                lf(n) - lf(x) - lf(a - x) - lf(b - x) -
+                                lf(n - a - b + x);
+        emi += term1 * std::exp(log_prob);
+      }
+    }
+  }
+  return emi;
+}
+
+double ref_mi(const std::vector<int>& a, const std::vector<int>& b) {
+  const Contingency ct(a, b);
+  const auto n = static_cast<double>(ct.total());
+  double mi = 0.0;
+  for (std::size_t i = 0; i < ct.rows(); ++i) {
+    for (std::size_t j = 0; j < ct.cols(); ++j) {
+      const auto nij = static_cast<double>(ct.at(i, j));
+      if (nij == 0.0) continue;
+      const auto ai = static_cast<double>(ct.row_sums()[i]);
+      const auto bj = static_cast<double>(ct.col_sums()[j]);
+      mi += nij / n * std::log(n * nij / (ai * bj));
+    }
+  }
+  return std::max(0.0, mi);
+}
+
+double ref_ami(const std::vector<int>& a, const std::vector<int>& b) {
+  const Contingency ct(a, b);
+  const double ha = ref_entropy(ct.row_sums(), ct.total());
+  const double hb = ref_entropy(ct.col_sums(), ct.total());
+  if (ha == 0.0 && hb == 0.0) return 1.0;
+  const double mi = ref_mi(a, b);
+  const double emi = ref_emi(ct);
+  const double denom = 0.5 * (ha + hb) - emi;
+  if (std::abs(denom) < 1e-15) return 0.0;
+  return (mi - emi) / denom;
+}
+
+double ref_accuracy(const std::vector<int>& a, const std::vector<int>& b) {
+  const Contingency ct(a, b);
+  std::vector<std::vector<double>> cost(ct.rows(),
+                                        std::vector<double>(ct.cols()));
+  for (std::size_t i = 0; i < ct.rows(); ++i) {
+    for (std::size_t j = 0; j < ct.cols(); ++j) {
+      cost[i][j] = -static_cast<double>(ct.at(i, j));
+    }
+  }
+  return -solve_assignment(cost).cost / static_cast<double>(ct.total());
+}
+
+double ref_ari(const std::vector<int>& a, const std::vector<int>& b) {
+  const Contingency ct(a, b);
+  const auto total_pairs = static_cast<double>(choose2(ct.total()));
+  if (total_pairs == 0.0) return 1.0;
+  const auto index = static_cast<double>(ct.pairs_in_cells());
+  const auto row_pairs = static_cast<double>(ct.pairs_in_rows());
+  const auto col_pairs = static_cast<double>(ct.pairs_in_cols());
+  const double expected = row_pairs * col_pairs / total_pairs;
+  const double max_index = 0.5 * (row_pairs + col_pairs);
+  if (max_index == expected) return 1.0;
+  return (index - expected) / (max_index - expected);
+}
+
+double ref_fm(const std::vector<int>& a, const std::vector<int>& b) {
+  const Contingency ct(a, b);
+  const auto tp = static_cast<double>(ct.pairs_in_cells());
+  const auto row_pairs = static_cast<double>(ct.pairs_in_rows());
+  const auto col_pairs = static_cast<double>(ct.pairs_in_cols());
+  if (row_pairs == 0.0 || col_pairs == 0.0) return 0.0;
+  return tp / std::sqrt(row_pairs * col_pairs);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_matches_references(const std::vector<int>& pred,
+                               const std::vector<int>& truth) {
+  const double ami = ref_ami(pred, truth);
+  EXPECT_TRUE(same_bits(adjusted_mutual_information(pred, truth), ami))
+      << adjusted_mutual_information(pred, truth) << " vs " << ami;
+  const Scores s = score_all(pred, truth);
+  EXPECT_TRUE(same_bits(s.acc, ref_accuracy(pred, truth)));
+  EXPECT_TRUE(same_bits(s.ari, ref_ari(pred, truth)));
+  EXPECT_TRUE(same_bits(s.ami, ami));
+  EXPECT_TRUE(same_bits(s.fm, ref_fm(pred, truth)));
+}
+
+std::vector<int> random_labels(Rng& rng, std::size_t n, int k) {
+  std::vector<int> labels(n);
+  for (int& l : labels) {
+    l = static_cast<int>(rng.below(static_cast<std::uint64_t>(k)));
+  }
+  return labels;
+}
+
+TEST(ScoreAllReference, RandomPartitions) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    const std::size_t n = 20 + rng.below(600);
+    const int ka = 1 + static_cast<int>(rng.below(12));
+    const int kb = 1 + static_cast<int>(rng.below(8));
+    expect_matches_references(random_labels(rng, n, ka),
+                              random_labels(rng, n, kb));
+  }
+}
+
+TEST(ScoreAllReference, SparseLabelIds) {
+  Rng rng(5);
+  std::vector<int> a = random_labels(rng, 300, 4);
+  std::vector<int> b = random_labels(rng, 300, 3);
+  const int sparse_a[] = {7, 1000000, 42, 90000};
+  const int sparse_b[] = {3, 65536, 999};
+  for (int& l : a) l = sparse_a[l];
+  for (int& l : b) l = sparse_b[l];
+  expect_matches_references(a, b);
+}
+
+TEST(ScoreAllReference, Singletons) {
+  Rng rng(6);
+  std::vector<int> singletons(150);
+  for (std::size_t i = 0; i < singletons.size(); ++i) {
+    singletons[i] = static_cast<int>(i);
+  }
+  const std::vector<int> other = random_labels(rng, 150, 5);
+  expect_matches_references(singletons, other);
+  expect_matches_references(other, singletons);
+  expect_matches_references(singletons, singletons);
+}
+
+TEST(ScoreAllReference, TrivialAndTinyPartitions) {
+  expect_matches_references(std::vector<int>(40, 0), std::vector<int>(40, 0));
+  expect_matches_references({0}, {0});
+  expect_matches_references({0, 0}, {0, 1});
+  expect_matches_references({0, 1}, {1, 0});
+  expect_matches_references({0, 1}, {0, 0});
+}
+
+TEST(ScoreAllReference, NestedDataset) {
+  data::NestedConfig config;
+  config.num_objects = 20000;
+  config.seed = 17;
+  const data::NestedDataset nested = data::nested(config);
+  // The fine partition, a tenth of it relabelled, against the coarse truth.
+  std::vector<int> pred = nested.fine_labels;
+  Rng rng(8);
+  for (int& l : pred) {
+    if (rng.bernoulli(0.1)) l = static_cast<int>(rng.below(6));
+  }
+  expect_matches_references(pred, nested.dataset.labels());
 }
 
 // --- Property sweeps ------------------------------------------------------------

@@ -7,8 +7,10 @@
 // maintenance, cluster append/remove restriding, out-of-domain clamping,
 // and fixed-seed label goldens across every registered method (the
 // byte-identity contract of the kernel rewire); plus the register-blocked
-// batch argmax vs the per-row scan and the freeze() single-writer contract
-// under concurrent frozen readers (the tsan CI job runs this binary).
+// batch argmax vs the per-row scan, the fused penalised top-2 kernel vs the
+// transform-and-two-argmax sequence it replaced, and the freeze()
+// single-writer contract under concurrent frozen readers (the tsan CI job
+// runs this binary).
 #include "core/profile_set.h"
 
 #include <gtest/gtest.h>
@@ -422,6 +424,153 @@ TEST(ProfileSet, BestClusterBreaksTiesToLowestId) {
   }
 }
 
+// MGCPL's fused decision kernel against the sequence it replaces: the
+// Eq. (7) transform in place, argmax, the winner masked to -1.0, argmax
+// again. Each table's penalized_top2 must return the (v, h) of that
+// sequence run with the same table's argmax and with a test-local
+// first-max scan. Sizes cover k below, at and past one vector, tails of
+// every length and a large k; the score patterns are built to collide:
+// ties across lanes, ties straddling the vector/tail boundary, all-equal
+// and all-zero rows, g_total == 0, and a winner whose lane also holds the
+// rival.
+struct Top2Case {
+  std::vector<double> s;
+  std::vector<double> g;
+  std::vector<double> u;
+  double g_total = 0.0;
+};
+
+std::size_t first_max(const std::vector<double>& t) {
+  std::size_t best = 0;
+  double best_score = -1.0;
+  for (std::size_t l = 0; l < t.size(); ++l) {
+    if (t[l] > best_score) {
+      best_score = t[l];
+      best = l;
+    }
+  }
+  return best;
+}
+
+std::vector<double> penalised(const Top2Case& c) {
+  std::vector<double> t(c.s.size());
+  for (std::size_t l = 0; l < t.size(); ++l) {
+    const double rho = c.g_total > 0.0 ? c.g[l] / c.g_total : 0.0;
+    t[l] = (1.0 - rho) * c.u[l] * c.s[l];
+  }
+  return t;
+}
+
+std::vector<Top2Case> top2_cases(std::size_t k, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Top2Case> cases;
+  const auto make = [&](auto score, bool with_g) {
+    Top2Case c;
+    c.s.resize(k);
+    c.g.assign(k, 0.0);
+    c.u.resize(k);
+    for (std::size_t l = 0; l < k; ++l) {
+      c.s[l] = score(l);
+      c.u[l] = rng.uniform(0.2, 1.0);
+      if (with_g) {
+        c.g[l] = static_cast<double>(rng.below(50));
+        c.g_total += c.g[l];
+      }
+    }
+    return c;
+  };
+  // Random scores with a live penalty.
+  cases.push_back(make([&](std::size_t) { return rng.uniform(); }, true));
+  // Coarse scores, no penalty, unit weights: ties across every lane.
+  Top2Case coarse = make(
+      [&](std::size_t) { return static_cast<double>(rng.below(3)) * 0.5; },
+      false);
+  coarse.u.assign(k, 1.0);
+  cases.push_back(coarse);
+  // All-equal and all-zero rows.
+  Top2Case equal = make([](std::size_t) { return 0.75; }, false);
+  equal.u.assign(k, 1.0);
+  cases.push_back(equal);
+  cases.push_back(make([](std::size_t) { return 0.0; }, true));
+  // g_total == 0 with non-zero counts: no penalty may apply.
+  Top2Case no_total = make([&](std::size_t) { return rng.uniform(); }, true);
+  no_total.g_total = 0.0;
+  cases.push_back(no_total);
+  // A cluster holding every win (rho = 1) scores 0 whatever s is.
+  Top2Case saturated = make([&](std::size_t) { return rng.uniform(); }, false);
+  saturated.g[0] = 10.0;
+  saturated.g_total = 10.0;
+  cases.push_back(saturated);
+  // Ties straddling the vector/tail boundary: the same best and second
+  // values inside the last whole vector and in the tail.
+  const std::size_t vec_end = k / 4 * 4;
+  Top2Case straddle = make([&](std::size_t) { return rng.uniform(0.0, 0.5); },
+                           false);
+  straddle.u.assign(k, 1.0);
+  if (vec_end > 0) {
+    straddle.s[vec_end - 1] = 0.9;
+    straddle.s[k - 1] = 0.9;
+    straddle.s[vec_end / 2] = 0.8;
+    if (vec_end < k) straddle.s[vec_end] = 0.8;
+  }
+  cases.push_back(straddle);
+  // Winner and rival in the same lane (indices 4 apart), plus a tie for
+  // the rival in another lane at a higher index.
+  if (k >= 9) {
+    Top2Case same_lane =
+        make([&](std::size_t) { return rng.uniform(0.0, 0.5); }, false);
+    same_lane.u.assign(k, 1.0);
+    same_lane.s[5] = 0.95;
+    same_lane.s[1] = 0.9;
+    same_lane.s[k - 2] = 0.9;
+    cases.push_back(same_lane);
+    Top2Case reverse = same_lane;
+    reverse.s[1] = 0.95;
+    reverse.s[5] = 0.9;
+    cases.push_back(reverse);
+  }
+  return cases;
+}
+
+TEST(SimdKernels, PenalizedTop2MatchesTransformAndTwoArgmax) {
+  std::vector<const core::simd::Kernels*> tables = {
+      &core::simd::scalar_kernels()};
+  if (const core::simd::Kernels* avx2 = core::simd::detail_avx2_kernels()) {
+    tables.push_back(avx2);
+  }
+  for (const std::size_t k : {2, 3, 4, 5, 7, 8, 9, 31, 317}) {
+    const std::vector<Top2Case> cases = top2_cases(k, 1000 + k);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const Top2Case& tc = cases[c];
+      // Test-local reference: transform, first-max, mask, first-max.
+      std::vector<double> t = penalised(tc);
+      const std::size_t ref_v = first_max(t);
+      t[ref_v] = -1.0;
+      const std::size_t ref_h = first_max(t);
+      for (std::size_t ti = 0; ti < tables.size(); ++ti) {
+        const core::simd::Kernels& kr = *tables[ti];
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << k << " case " << c << " table " << ti);
+        // The replaced sequence, run with this table's argmax.
+        std::vector<double> seq = penalised(tc);
+        const auto seq_v = static_cast<std::size_t>(kr.argmax(seq.data(), k));
+        seq[seq_v] = -1.0;
+        const auto seq_h = static_cast<std::size_t>(kr.argmax(seq.data(), k));
+        std::size_t v = k + 1;
+        std::size_t h = k + 1;
+        const std::vector<double> s_before = tc.s;
+        kr.penalized_top2(tc.s.data(), tc.g.data(), tc.u.data(), tc.g_total,
+                          k, &v, &h);
+        EXPECT_EQ(v, ref_v);
+        EXPECT_EQ(h, ref_h);
+        EXPECT_EQ(v, seq_v);
+        EXPECT_EQ(h, seq_h);
+        EXPECT_EQ(tc.s, s_before);  // the scores are read, never written
+      }
+    }
+  }
+}
+
 // The register-blocked batch argmax must label exactly as the per-row
 // scan. The shapes deliberately straddle every boundary in the kernel:
 // the 32-row gather tile, the 32-cluster register block, the 4-wide and
@@ -539,6 +688,87 @@ TEST(Model, PredictMatchesPredictRow) {
 // the table only for a *deliberate* algorithm change. Guarded to glibc
 // Linux: the trajectories pass through libm (exp in Eq. 11), whose last-ulp
 // behaviour differs across C libraries.
+// expect_same_bank plus the frozen quotient cache: `got` must be frozen
+// and its cached quotients equal `want`'s. They are read through frozen
+// score_all on one-hot rows; with d a power of two, (0 + q) / d is exact,
+// so equal outputs mean equal cached quotients.
+void expect_same_frozen_bank(const core::ProfileSet& got,
+                             const core::ProfileSet& want) {
+  expect_same_bank(got, want);
+  const std::size_t d = got.num_features();
+  ASSERT_EQ(d & (d - 1), 0U) << "one-hot quotient probe needs d = 2^m";
+  ASSERT_TRUE(got.frozen());
+  want.freeze();
+  const auto k = static_cast<std::size_t>(got.num_clusters());
+  std::vector<data::Value> row(d, data::kMissing);
+  std::vector<double> a(k);
+  std::vector<double> b(k);
+  for (std::size_t r = 0; r < d; ++r) {
+    for (data::Value v = 0; v < got.cardinalities()[r]; ++v) {
+      row[r] = v;
+      got.score_all(row.data(), a.data());
+      want.score_all(row.data(), b.data());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), k * sizeof(double)), 0)
+          << "quotients of cell " << r << "/" << v;
+    }
+    row[r] = data::kMissing;
+  }
+}
+
+// The refine pass moves only the rows that changed label between sweeps
+// and hands its converged bank to the model. That bank must be the one
+// from_assignment builds from the polished labels, bit for bit, and the
+// labels must be the fixpoint of the rebuild-every-sweep loop it replaced
+// (run here as the test-local reference).
+TEST(Model, RefinedBankMatchesFromAssignment) {
+  data::WellSeparatedConfig config;
+  config.num_objects = 900;
+  config.num_features = 8;
+  config.num_clusters = 4;
+  config.purity = 0.6;
+  config.seed = 23;
+  const data::Dataset ds =
+      data::with_missing_cells(data::well_separated(config), 0.06, 4);
+  const int k = 4;
+  // Ground truth with a third of the labels scrambled: the polish has many
+  // rows to move, over several sweeps.
+  std::vector<int> labels = ds.labels();
+  Rng rng(31);
+  for (int& l : labels) {
+    if (rng.bernoulli(0.35)) l = static_cast<int>(rng.below(k));
+  }
+
+  std::vector<int> reference = labels;
+  int sweeps = 0;
+  for (; sweeps < 100; ++sweeps) {
+    const core::ProfileSet bank =
+        core::ProfileSet::from_assignment(ds, reference, k);
+    std::vector<int> next(reference.size());
+    bank.best_clusters(ds, 0, ds.num_objects(), next.data());
+    if (next == reference) break;
+    reference.swap(next);
+  }
+  ASSERT_GE(sweeps, 3) << "the fixture should move rows over several sweeps";
+
+  const api::Model model = api::Model::from_fit("kmodes", ds, labels, k);
+  EXPECT_EQ(model.training_labels(), reference);
+  expect_same_frozen_bank(model.profile_bank(),
+                          core::ProfileSet::from_assignment(ds, reference, k));
+}
+
+// A polish that would empty a cluster keeps the unrefined labels, and the
+// bank is theirs. Row 6 alone forms cluster 2 but scores the same against
+// cluster 0, whose lower id wins the tie, so the first sweep empties 2.
+TEST(Model, RefineThatEmptiesAClusterKeepsTheUnrefinedLabels) {
+  const data::Dataset ds(7, 2, {0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0},
+                         {2, 2});
+  const std::vector<int> labels = {0, 0, 0, 1, 1, 1, 2};
+  const api::Model model = api::Model::from_fit("kmodes", ds, labels, 3);
+  EXPECT_EQ(model.training_labels(), labels);
+  expect_same_frozen_bank(model.profile_bank(),
+                          core::ProfileSet::from_assignment(ds, labels, 3));
+}
+
 TEST(KernelGoldens, FixedSeedLabelsAreUnchangedAcrossTheRegistry) {
   data::WellSeparatedConfig config;
   config.num_objects = 240;
