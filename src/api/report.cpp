@@ -88,6 +88,8 @@ Json RunReport::to_json() const {
     Json serve_json = Json::object();
     serve_json["requests"] = static_cast<double>(serve.requests);
     serve_json["batches"] = static_cast<double>(serve.batches);
+    serve_json["lingered_batches"] =
+        static_cast<double>(serve.lingered_batches);
     serve_json["swaps"] = static_cast<double>(serve.swaps);
     serve_json["batch_occupancy"] = serve.batch_occupancy;
     serve_json["throughput_rps"] = serve.throughput_rps;

@@ -85,6 +85,8 @@ struct DistEvidence {
 struct ServeEvidence {
   std::uint64_t requests = 0;    // single-row predicts answered
   std::uint64_t batches = 0;     // coalesced score sweeps dispatched
+  std::uint64_t lingered_batches = 0;  // batches whose dispatch waited on
+                                       // the linger for more requests
   std::uint64_t swaps = 0;       // snapshots published over the session
   double batch_occupancy = 0.0;  // mean rows per dispatched sweep
   double throughput_rps = 0.0;   // requests per second of serving wall-clock

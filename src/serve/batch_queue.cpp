@@ -140,24 +140,37 @@ std::future<int> BatchQueue::submit(const data::Value* row) {
 bool BatchQueue::next_batch(Batch& out) {
   out.abandon();  // a previous batch left unanswered fails its requests
   std::unique_lock lock(mutex_);
-  consumer_cv_.wait(lock, [this] { return closed_ || pending_locked() > 0; });
-  if (pending_locked() == 0) return false;  // closed and drained
+  // A backlog on entry means the requests arrived while the consumer was
+  // busy with its last batch: it is behind the load, and waiting a little
+  // for a full batch buys occupancy. Otherwise it blocks for the first
+  // request and drains at once — nobody else is waiting for it.
+  const bool backlog = pending_locked() > 0;
+  if (!backlog) {
+    consumer_idle_ = true;
+    consumer_cv_.wait(lock, [this] { return closed_ || pending_locked() > 0; });
+    consumer_idle_ = false;
+    if (pending_locked() == 0) return false;  // closed and drained
+  }
 
-  // Linger for the batch to fill: overall latency is dominated by the
-  // sweep, so trading a bounded wait for higher occupancy is usually a
-  // win. A closed queue and a full batch both cut the wait short.
-  if (config_.linger_us > 0.0 && !closed_ &&
+  // Linger for the batch to fill, until the oldest pending request has
+  // waited linger_us since its submit. A closed queue and a full batch
+  // both cut the wait short.
+  out.lingered = false;
+  if (backlog && config_.linger_us > 0.0 && !closed_ &&
       pending_locked() < config_.max_batch) {
-    // mcdc-lint: allow(D1) linger deadline shapes batch occupancy/latency
-    // only; every row's label is computed by the same frozen sweep
+    // mcdc-lint: allow(D1) the linger deadline shapes batch occupancy and
+    // latency only; every row's label is computed by the same frozen sweep
     // whichever batch it lands in.
-    const auto linger = std::chrono::duration_cast<
+    const auto left = std::chrono::duration_cast<
         std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::micro>(config_.linger_us));
-    consumer_cv_.wait_for(lock, linger, [this] {
-      return closed_ || pending_locked() >= config_.max_batch;
-    });
-    if (pending_locked() == 0) return false;
+        std::chrono::duration<double, std::micro>(config_.linger_us) -
+        std::chrono::duration<double>(enqueued_[head_].elapsed_seconds()));
+    if (left > left.zero()) {
+      consumer_cv_.wait_for(lock, left, [this] {
+        return closed_ || pending_locked() >= config_.max_batch;
+      });
+      out.lingered = true;
+    }
   }
 
   // Drain the front batch from the head cursor — O(batch), however deep
@@ -203,6 +216,11 @@ void BatchQueue::close() {
 bool BatchQueue::closed() const {
   std::lock_guard lock(mutex_);
   return closed_;
+}
+
+bool BatchQueue::consumer_idle() const {
+  std::lock_guard lock(mutex_);
+  return consumer_idle_;
 }
 
 std::size_t BatchQueue::pending() const {

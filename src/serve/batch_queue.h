@@ -42,6 +42,21 @@
 // consumer may be waiting for work) or when a full max_batch becomes
 // pending (the consumer may be lingering for one).
 //
+// Batching adapts to load. An idle consumer (one that blocked in
+// next_batch() for the first request) drains what is pending the moment
+// it wakes: nobody else is waiting, so a linger would only add latency.
+// A consumer that comes back from its last batch to requests already
+// pending is behind the load, and lingers for the batch to fill — until
+// the oldest pending request has waited linger_us since its submit, so
+// linger_us bounds each request's time in the queue rather than
+// restarting at every drain. Against lingering on every partial batch,
+// measured on a 4-vCPU host (GCC 12.2, k = 32, d = 10, a 3x128 closed
+// loop plus a 200k req/s open loop, medians of 10 runs), this took the
+// served p50 from 39.0 us (the linger paid on almost every batch) to
+// 9.25 us, and throughput from 4.02M to 5.24M rows/s: a consumer that
+// lingers on a partial batch whose producers are all blocked on it
+// waits for nothing.
+//
 // Backpressure: submit() blocks while max_pending requests are already
 // queued — a bounded queue keeps a slow consumer from converting overload
 // into unbounded memory growth. close() wakes everyone; a submit after
@@ -75,9 +90,10 @@ struct BatchQueueConfig {
   std::size_t max_batch = 256;
   // Bound on queued requests before submit() blocks.
   std::size_t max_pending = 4096;
-  // How long next_batch() lingers for a partial batch to fill once at
-  // least one request is pending, in microseconds. 0 = dispatch whatever
-  // is there immediately.
+  // Bound on a request's wait in the queue for its batch to fill, in
+  // microseconds, counted from its submit. Only a consumer that finds a
+  // backlog lingers; an idle one drains at once. 0 = always dispatch
+  // whatever is there immediately.
   double linger_us = 50.0;
 };
 
@@ -148,6 +164,7 @@ class BatchQueue {
     std::vector<data::Value> rows;
     std::vector<Timer> enqueued;
     std::size_t count = 0;
+    bool lingered = false;  // the drain waited on the linger
 
     Batch() = default;
     Batch(const Batch&) = delete;
@@ -164,10 +181,17 @@ class BatchQueue {
     std::shared_ptr<BatchCompletion> completion_;
   };
 
-  // Blocks until a request is pending, lingers up to linger_us for more,
-  // then moves up to max_batch requests into `out`. Returns false when the
-  // queue is closed and fully drained. Single consumer only.
+  // Blocks until a request is pending, then moves up to max_batch
+  // requests into `out`. If requests were already pending on entry, it
+  // first lingers for a full batch until the oldest pending request is
+  // linger_us old; if it had to block for the first one, it drains at
+  // once. Returns false when the queue is closed and fully drained.
+  // Single consumer only.
   bool next_batch(Batch& out);
+
+  // True while the consumer is blocked in next_batch() on an empty queue:
+  // the next request will be drained without a linger.
+  bool consumer_idle() const;
 
   // Rejects future submits and wakes the consumer to drain what remains.
   void close();
@@ -192,6 +216,7 @@ class BatchQueue {
   // p % max_batch, and a drain takes exactly the front batch.
   std::deque<std::shared_ptr<BatchCompletion>> completions_;
   std::size_t head_ = 0;  // first undrained request in the staging bank
+  bool consumer_idle_ = false;
   bool closed_ = false;
 };
 

@@ -257,6 +257,7 @@ api::ServeEvidence ServingCluster::stats() const {
     const api::ServeEvidence ev = shards_[s]->stats();
     out.requests += ev.requests;
     out.batches += ev.batches;
+    out.lingered_batches += ev.lingered_batches;
     out.swaps += ev.swaps;
     // Shards serve disjoint request streams concurrently, so cluster
     // throughput is the sum of per-shard rates, not requests over the

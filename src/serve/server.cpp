@@ -85,6 +85,10 @@ std::future<int> ModelServer::submit(const data::Value* row) {
   return queue().submit(row);
 }
 
+bool ModelServer::idle() const {
+  return queue_ != nullptr && queue_->consumer_idle();
+}
+
 std::vector<int> ModelServer::predict(const data::DatasetView& ds) const {
   const std::shared_ptr<const api::Model> model = snapshot();
   if (model == nullptr) {
@@ -96,8 +100,8 @@ std::vector<int> ModelServer::predict(const data::DatasetView& ds) const {
 void ModelServer::dispatch_loop() {
 #if defined(__linux__)
   // Linux lets a timed wait overshoot by the thread's timer slack, 50 us
-  // by default: as long as the default linger itself. 1 us keeps a lone
-  // request's wait close to linger_us.
+  // by default: as long as the default linger itself. 1 us keeps a
+  // lingered batch's oldest request within microseconds of linger_us.
   prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
 #endif
   BatchQueue::Batch batch;
@@ -131,6 +135,7 @@ void ModelServer::record_batch(const BatchQueue::Batch& batch,
   std::lock_guard lock(stats_mutex_);
   requests_ += batch.count;
   ++batches_;
+  if (batch.lingered) ++lingered_batches_;
   if (first_batch_seconds_ < 0.0) {
     // The serving window opens at the first batch's earliest submit (its
     // largest queue age), not at its completion — otherwise a session
@@ -165,6 +170,7 @@ api::ServeEvidence ModelServer::stats() const {
   std::lock_guard lock(stats_mutex_);
   out.requests = requests_;
   out.batches = batches_;
+  out.lingered_batches = lingered_batches_;
   out.batch_occupancy =
       batches_ > 0
           ? static_cast<double>(requests_) / static_cast<double>(batches_)

@@ -13,13 +13,15 @@
 //   - predict(DatasetView) scores a whole dataset against ONE snapshot
 //     (never a torn sweep across a swap) — the bulk path.
 //   - submit()/predict(row) enqueue single rows into a BatchQueue; a
-//     dispatcher thread coalesces them (up to max_batch, lingering
-//     linger_us) and answers each batch with one frozen
-//     Model::predict_rows sweep (run inline for a small model's batch,
-//     fanned over the shared pool for a large one). Rows must already be
-//     in the model's encoding (Model::encoding_map translates foreign
-//     sources); out-of-domain codes score as missing, exactly as
-//     predict_row documents.
+//     dispatcher thread coalesces them (up to max_batch) and answers each
+//     batch with one frozen Model::predict_rows sweep (run inline for a
+//     small model's batch, fanned over the shared pool for a large one).
+//     Rows must already be in the model's encoding (Model::encoding_map
+//     translates foreign sources); out-of-domain codes score as missing,
+//     exactly as predict_row documents. An idle dispatcher answers a
+//     request at once; one that finds a backlog after its last batch
+//     lingers for a fuller batch, no longer than until the oldest pending
+//     request is linger_us old (serve/batch_queue.h).
 //
 // Completion is per batch (serve/batch_queue.h): the dispatcher records
 // the batch's stats, copies its labels into the batch's slots and
@@ -133,6 +135,11 @@ class ModelServer {
 
   std::size_t row_width() const { return row_width_; }
 
+  // True while the dispatcher is blocked waiting for a first request, so
+  // the next single-row request is answered without a linger. False for a
+  // server without a row width.
+  bool idle() const;
+
   api::ServeEvidence stats() const;
 
   // The retained submit-to-label latency ring (microseconds, unordered) —
@@ -179,6 +186,7 @@ class ModelServer {
   mutable std::mutex stats_mutex_;
   std::uint64_t requests_ = 0;
   std::uint64_t batches_ = 0;
+  std::uint64_t lingered_batches_ = 0;
   std::vector<double> latency_us_;  // ring of the last latency_capacity
   std::size_t latency_next_ = 0;
   Timer session_;                 // epoch for the throughput window

@@ -343,24 +343,109 @@ TEST(ModelServer, FutureOutlivesServer) {
   EXPECT_EQ(answer.get(), 1);
 }
 
-TEST(ModelServer, FullBatchCutsTheLingerShort) {
-  // The dispatcher sleeps through a partial batch for up to linger_us but
-  // must wake the moment a full batch is pending.
-  serve::ServeConfig config;
-  config.queue.max_batch = 4;
-  config.queue.linger_us = 30e6;  // 30 s: only a full batch ends it
-  serve::ModelServer server(model_always_zero(), config);
-  const data::Value row[] = {2};
+TEST(BatchQueue, FullBatchCutsTheLingerShort) {
+  // A consumer that enters next_batch with a request already pending is
+  // behind the load: it lingers for a full batch for up to linger_us, but
+  // must wake the moment one is pending.
+  serve::BatchQueueConfig config;
+  config.max_batch = 4;
+  config.linger_us = 30e6;  // 30 s: only a full batch ends it
+  serve::BatchQueue queue(1, config);
+  const data::Value v = 2;
   Timer timer;
   std::vector<std::future<int>> futures;
-  futures.push_back(server.submit(row));
-  // Give the dispatcher time to wake for the first request and start
-  // lingering, so the fourth submit has to cut that linger short.
+  futures.push_back(queue.submit(&v));
+  serve::BatchQueue::Batch batch;
+  bool drained = false;
+  std::thread consumer([&] { drained = queue.next_batch(batch); });
+  // Give the consumer time to start lingering, so the fourth submit has
+  // to cut that linger short.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  for (int i = 1; i < 4; ++i) futures.push_back(server.submit(row));
-  for (auto& future : futures) EXPECT_EQ(future.get(), 0);
+  for (int i = 1; i < 4; ++i) futures.push_back(queue.submit(&v));
+  consumer.join();
   EXPECT_LT(timer.elapsed_seconds(), 10.0);
-  EXPECT_EQ(server.stats().batches, 1u);
+  ASSERT_TRUE(drained);
+  ASSERT_EQ(batch.count, 4u);
+  batch.complete(std::vector<int>(4, 0));
+  for (auto& future : futures) EXPECT_EQ(future.get(), 0);
+}
+
+TEST(BatchQueue, IdleConsumerDoesNotLinger) {
+  // A consumer blocked on an empty queue drains the first request the
+  // moment it arrives: nothing else is pending, so a linger would only
+  // add latency.
+  serve::BatchQueueConfig config;
+  config.max_batch = 4;
+  config.linger_us = 30e6;  // a lingered lone request would stall 30 s
+  serve::BatchQueue queue(1, config);
+  serve::BatchQueue::Batch batch;
+  bool drained = false;
+  std::thread consumer([&] { drained = queue.next_batch(batch); });
+  while (!queue.consumer_idle()) std::this_thread::yield();
+  Timer timer;
+  const data::Value v = 5;
+  std::future<int> answer = queue.submit(&v);
+  consumer.join();
+  EXPECT_LT(timer.elapsed_seconds(), 10.0);
+  EXPECT_FALSE(queue.consumer_idle());
+  ASSERT_TRUE(drained);
+  ASSERT_EQ(batch.count, 1u);
+  EXPECT_FALSE(batch.lingered);
+  batch.complete({7});
+  EXPECT_EQ(answer.get(), 7);
+}
+
+TEST(BatchQueue, LingerCountsFromOldestRequest) {
+  serve::BatchQueueConfig config;
+  config.max_batch = 4;
+  config.linger_us = 50e3;  // 50 ms
+  serve::BatchQueue queue(1, config);
+  const data::Value v = 1;
+  serve::BatchQueue::Batch batch;
+
+  // The oldest pending request has already waited out linger_us, so the
+  // backlog is drained without a further wait, its fresh neighbour too.
+  std::future<int> old = queue.submit(&v);
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  std::future<int> fresh = queue.submit(&v);
+  ASSERT_TRUE(queue.next_batch(batch));
+  EXPECT_EQ(batch.count, 2u);
+  EXPECT_FALSE(batch.lingered);
+  batch.complete({1, 2});
+  EXPECT_EQ(old.get(), 1);
+  EXPECT_EQ(fresh.get(), 2);
+
+  // A backlog younger than linger_us lingers until its oldest request is
+  // linger_us old.
+  const Timer submitted;
+  std::future<int> young = queue.submit(&v);
+  ASSERT_TRUE(queue.next_batch(batch));
+  EXPECT_GE(submitted.elapsed_seconds(), 50e-3);
+  EXPECT_EQ(batch.count, 1u);
+  EXPECT_TRUE(batch.lingered);
+  batch.complete({3});
+  EXPECT_EQ(young.get(), 3);
+}
+
+TEST(ModelServer, LonePredictsNeverLinger) {
+  // Sequential predict(row) calls on an idle server: each request finds
+  // the dispatcher waiting, so no batch waits on the linger.
+  serve::ModelServer server(model_always_zero());
+  const data::Value row[] = {2};
+  constexpr int kCalls = 20;
+  for (int i = 0; i < kCalls; ++i) {
+    while (!server.idle()) std::this_thread::yield();
+    EXPECT_EQ(server.predict(row), 0);
+  }
+  server.stop();
+  EXPECT_FALSE(server.idle());
+  const api::ServeEvidence stats = server.stats();
+  EXPECT_EQ(stats.batches, static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(stats.lingered_batches, 0u);
+
+  api::RunReport report;
+  report.serve = stats;
+  EXPECT_EQ(report.to_json().at("serve").at("lingered_batches").as_int(), 0);
 }
 
 TEST(ModelServer, StopDuringSubmitChurnAnswersEveryRedeemedFuture) {
@@ -499,6 +584,12 @@ TEST(ServingCluster, ShardedPredictMatchesModelPredict) {
   std::uint64_t routed_total = 0;
   for (const std::uint64_t r : evidence.routed) routed_total += r;
   EXPECT_EQ(routed_total, ds.num_objects() + 50);  // bulk rows + single rows
+  std::uint64_t lingered_total = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    lingered_total += cluster.shard_stats(s).lingered_batches;
+  }
+  EXPECT_EQ(evidence.lingered_batches, lingered_total);
+  EXPECT_LE(evidence.lingered_batches, evidence.batches);
 }
 
 TEST(ServingCluster, LocalityRoutingKeepsClustersOnOneShard) {
